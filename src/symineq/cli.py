@@ -29,6 +29,7 @@ from symineq.exact import (
 )
 from symineq.inequality import (
     InequalityReport,
+    Statement,
     Violation,
     check_main,
     check_pairwise_lemma,
@@ -139,61 +140,55 @@ def _report_line(v: PositiveVector, report: InequalityReport,
     line = (f"{head}: lhs={render_scalar(report.lhs)}"
             f" rhs={render_scalar(report.rhs)}"
             f" slack={render_scalar(report.slack)} {verdict}")
-    if report.statement.value == "MainTheorem" and report.k in (1, report.n):
+    if report.statement is Statement.MAIN_THEOREM and report.k in (1, report.n):
         line += " [identity (always equality)]"
     return line
 
 
-def _emit_reports(items, fmt: str) -> None:
-    # items: (vector, report, scale-or-None) triples
-    if fmt == "json":
-        print(json.dumps([report_to_record(r) for _, r, _ in items], indent=2))
-    else:
-        for v, report, scale in items:
-            print(_report_line(v, report, scale))
-
-
 # ---- subcommand runners ----
 
-def _run_check(args) -> int:
-    items = []
+def _run_vectors(args) -> int:
+    """Report on each input vector; args.reports(args, v) yields its
+    (report, scale-or-None) pairs. Text lines are printed as they are made,
+    so a violation or a bad vector on line N of a file keeps the lines
+    before it; JSON is one array, printed at the end."""
+    records = []
     for v in _input_vectors(args):
         _enforce_cap(len(v), args.max_n)
-        if args.all_k:
-            ks = range(1, len(v) + 1)
-        else:
-            if not 1 <= args.k <= len(v):
-                raise CliError(f"k={args.k} out of range for n={len(v)}")
-            ks = (args.k,)
-        for k in ks:
-            items.append((v, check_main(v, k), None))
-    _emit_reports(items, args.format)
+        for report, scale in args.reports(args, v):
+            if args.format == "json":
+                records.append(report_to_record(report))
+            else:
+                print(_report_line(v, report, scale))
+    if args.format == "json":
+        print(json.dumps(records, indent=2))
     return 0
 
 
-def _run_lemma(args) -> int:
+def _check_reports(args, v: PositiveVector):
+    if args.all_k:
+        ks = range(1, len(v) + 1)
+    elif 1 <= args.k <= len(v):
+        ks = (args.k,)
+    else:
+        raise CliError(f"k={args.k} out of range for n={len(v)}")
+    for k in ks:
+        yield check_main(v, k), None
+
+
+def _lemma_reports(args, v: PositiveVector):
+    if len(v) < 2:
+        raise CliError(f"the {args.which} lemma needs n >= 2, got n={len(v)}")
     checker = (check_reciprocal_lemma if args.which == "reciprocal"
                else check_pairwise_lemma)
-    items = []
-    for v in _input_vectors(args):
-        _enforce_cap(len(v), args.max_n)
-        if len(v) < 2:
-            raise CliError(f"the {args.which} lemma needs n >= 2, got n={len(v)}")
-        items.append((v, checker(v), None))
-    _emit_reports(items, args.format)
-    return 0
+    yield checker(v), None
 
 
-def _run_identity(args) -> int:
-    items = []
-    for v in _input_vectors(args):
-        _enforce_cap(len(v), args.max_n)
-        if not 1 <= args.k < len(v):
-            raise CliError(
-                f"the identity needs 1 <= k < n, got k={args.k} n={len(v)}")
-        items.append((v, check_proof_identity(v, args.k), v.total()))
-    _emit_reports(items, args.format)
-    return 0
+def _identity_reports(args, v: PositiveVector):
+    if not 1 <= args.k < len(v):
+        raise CliError(
+            f"the identity needs 1 <= k < n, got k={args.k} n={len(v)}")
+    yield check_proof_identity(v, args.k), v.total()
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -340,20 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     kgroup.add_argument("--k", type=int, help="subset size to check")
     kgroup.add_argument("--all-k", action="store_true",
                         help="check every k from 1 to n")
-    check.set_defaults(func=_run_check)
+    check.set_defaults(func=_run_vectors, reports=_check_reports)
 
     lemma = subs.add_parser("lemma", help="check a supporting lemma")
     lemma.add_argument("--which", choices=("reciprocal", "pairwise"), required=True,
                        help="reciprocal: harmonic-type bound; pairwise: k=2 form")
     _add_common(lemma)
-    lemma.set_defaults(func=_run_lemma)
+    lemma.set_defaults(func=_run_vectors, reports=_lemma_reports)
 
     identity = subs.add_parser(
         "identity", help="verify the subset rearrangement identity")
     identity.add_argument("--k", type=int, required=True,
                           help="subset size, 1 <= k < n")
     _add_common(identity)
-    identity.set_defaults(func=_run_identity)
+    identity.set_defaults(func=_run_vectors, reports=_identity_reports)
 
     fz = subs.add_parser("fuzz", help="random trials through the exact checker")
     fz.add_argument("--n", default="2..8", metavar="LO..HI",

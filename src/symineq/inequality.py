@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from symineq.exact import PositiveVector, render_scalar
-from symineq.symfun import elementary_symmetric
+from symineq.symfun import check_k, elementary_symmetric, subset_terms
 
 
 class Statement(Enum):
@@ -92,11 +92,6 @@ def report_from_record(record: dict) -> InequalityReport:
     )
 
 
-def _check_k(k: int, n: int) -> None:
-    if not 0 < k <= n:
-        raise ValueError(f"k must satisfy 0 < k <= n, got k={k} n={n}")
-
-
 def _report(statement: Statement, v: PositiveVector, k: int,
             lhs: Fraction, rhs: Fraction) -> InequalityReport:
     slack = rhs - lhs
@@ -114,24 +109,13 @@ def _report(statement: Statement, v: PositiveVector, k: int,
 
 def lhs_main(v: PositiveVector, k: int) -> Fraction:
     """Sum over all k-subsets of subset_product / subset_sum, exactly."""
-    n = len(v)
-    _check_k(k, n)
-    a = v.entries
-    out = Fraction(0)
-    for s in combinations(range(n), k):
-        prod = Fraction(1)
-        tot = Fraction(0)
-        for i in s:
-            prod *= a[i]
-            tot += a[i]
-        out += prod / tot
-    return out
+    return sum((prod / tot for prod, tot in subset_terms(v.entries, k)), Fraction(0))
 
 
 def rhs_main(v: PositiveVector, k: int) -> Fraction:
     """(n/k) * e_k(v) / sum(v), with e_k from the dynamic program."""
     n = len(v)
-    _check_k(k, n)
+    check_k(k, n)
     return Fraction(n, k) * elementary_symmetric(v, k) / v.total()
 
 
@@ -215,15 +199,8 @@ def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
     w, _ = normalize(v)
     a = w.entries
 
-    left = Fraction(0)
-    for s in combinations(range(n), k):
-        prod = Fraction(1)
-        tot = Fraction(0)
-        for i in s:
-            prod *= a[i]
-            tot += a[i]
-        left += prod * (1 - tot) / tot
-    left *= k
+    left = k * sum((prod * (1 - tot) / tot for prod, tot in subset_terms(a, k)),
+                   Fraction(0))
 
     right = Fraction(0)
     for s in combinations(range(n), k + 1):
@@ -252,7 +229,7 @@ def classify_equality(v: PositiveVector, k: int) -> EqualityClass:
     equality exactly for uniform vectors. Agrees with check_main's
     is_equality flag in every case.
     """
-    _check_k(k, len(v))
+    check_k(k, len(v))
     if k == 1 or k == len(v):
         return EqualityClass.BOUNDARY_ALWAYS_EQUAL
     if all(a == v[0] for a in v):

@@ -6,21 +6,22 @@ ratio maximization over the unit simplex, which demonstrates tightness by
 ascending the (float) ratio of the two sides toward the uniform point and
 then re-certifying the final iterate exactly.
 
-This is the only module that touches floating point.
+This is the only module that touches floating point. The float objective
+uses the same number-generic kernels as the exact checkers (`symineq.symfun`),
+and the ascent works on plain lists.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from symineq.exact import PositiveVector, make_vector, render_scalar
 from symineq.inequality import Statement, Violation, check_main, lhs_main, rhs_main
+from symineq.symfun import elementary_symmetric, subset_terms
 
 # Coordinates never drop below this during projection: the bound's domain is
 # strictly positive vectors, and float subset sums must stay away from 0.
@@ -191,51 +192,44 @@ class SearchResult:
 
 def ratio_float(x: Sequence[float], k: int) -> float:
     """The float objective: lhs/rhs of the main bound at a positive point."""
-    n = len(x)
     lhs = 0.0
-    for s in combinations(range(n), k):
-        prod = 1.0
-        tot = 0.0
-        for i in s:
-            prod *= x[i]
-            tot += x[i]
+    for prod, tot in subset_terms(x, k):
         lhs += prod / tot
-    row = [1.0] + [0.0] * k
-    for m in range(1, n + 1):
-        a = x[m - 1]
-        for j in range(min(m, k), 0, -1):
-            row[j] += a * row[j - 1]
-    rhs = (n / k) * row[k] / sum(x)
-    return float(lhs / rhs)
+    rhs = (len(x) / k) * elementary_symmetric(x, k) / sum(x)
+    return lhs / rhs
 
 
-def project_simplex(x: np.ndarray, floor: float = SIMPLEX_FLOOR) -> np.ndarray:
+def project_simplex(x: Sequence[float], floor: float = SIMPLEX_FLOOR) -> list[float]:
     """Euclidean projection onto {y : y_i >= floor, sum(y) = 1}.
 
     Sort-based exact projection of the floor-shifted point onto the scaled
-    simplex of mass 1 - n*floor.
+    simplex of mass 1 - n*floor (Duchi et al., ICML 2008): theta comes from
+    the last j, in descending order, with u_j + (mass - css_j)/j > 0.
     """
-    n = x.size
-    mass = 1.0 - n * floor
-    z = x - floor
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, n + 1)
-    rho = int(np.nonzero(u + (mass - css) / j > 0)[0][-1])
-    theta = (mass - css[rho]) / (rho + 1)
-    return np.maximum(z + theta, 0.0) + floor
+    mass = 1.0 - len(x) * floor
+    z = [xi - floor for xi in x]
+    # j = 1 always qualifies in exact arithmetic; rounding loses it only on
+    # non-finite or huge entries, where NaN marks the result unusable (the
+    # ascent rejects a NaN objective and halves its step).
+    theta = math.nan
+    css = 0.0
+    for j, u in enumerate(sorted(z, reverse=True), start=1):
+        css += u
+        if u + (mass - css) / j > 0:
+            theta = (mass - css) / j
+    return [max(zi + theta, 0.0) + floor for zi in z]
 
 
-def finite_difference_gradient(x: np.ndarray, k: int, h: float = 1e-6) -> np.ndarray:
+def finite_difference_gradient(x: Sequence[float], k: int, h: float = 1e-6) -> list[float]:
     """Central finite-difference gradient of ratio_float at x."""
-    g = np.empty(x.size)
-    for i in range(x.size):
-        hi = min(h, 0.5 * float(x[i]))  # keep the perturbed point positive
-        xp = x.copy()
-        xp[i] += hi
-        xm = x.copy()
-        xm[i] -= hi
-        g[i] = (ratio_float(xp, k) - ratio_float(xm, k)) / (2.0 * hi)
+    g = []
+    for i, xi in enumerate(x):
+        hi = min(h, 0.5 * xi)  # keep the perturbed point positive
+        xp = list(x)
+        xp[i] = xi + hi
+        xm = list(x)
+        xm[i] = xi - hi
+        g.append((ratio_float(xp, k) - ratio_float(xm, k)) / (2.0 * hi))
     return g
 
 
@@ -253,8 +247,9 @@ def maximize_ratio(config: SearchConfig) -> SearchResult:
     n, k = config.n, config.k
     if not 1 < k < n:
         raise ValueError(f"maximization needs 1 < k < n, got k={k} n={n}")
-    if config.step_size <= 0 or config.convergence_tolerance <= 0:
-        raise ValueError("step_size and convergence_tolerance must be positive")
+    if not all(math.isfinite(t) and t > 0
+               for t in (config.step_size, config.convergence_tolerance)):
+        raise ValueError("step_size and convergence_tolerance must be finite and positive")
     if config.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
 
@@ -263,11 +258,12 @@ def maximize_ratio(config: SearchConfig) -> SearchResult:
             raise ValueError(f"start point has length {len(config.start)}, expected {n}")
         if any(not xi > 0 for xi in config.start):
             raise ValueError("start point must be strictly positive")
-        x = project_simplex(np.asarray(config.start, dtype=float))
+        x = project_simplex(config.start)
     else:
         rng = random.Random(config.seed)
-        raw = np.array([0.1 + 0.9 * rng.random() for _ in range(n)])
-        x = project_simplex(raw / raw.sum())
+        raw = [0.1 + 0.9 * rng.random() for _ in range(n)]
+        total = sum(raw)
+        x = project_simplex([r / total for r in raw])
 
     f = ratio_float(x, k)
     trace = [f]
@@ -276,14 +272,15 @@ def maximize_ratio(config: SearchConfig) -> SearchResult:
 
     for _ in range(config.max_iterations):
         g = finite_difference_gradient(x, k)
-        g -= g.mean()
-        if float(np.linalg.norm(g)) <= config.convergence_tolerance:
+        mean = sum(g) / n
+        g = [gi - mean for gi in g]
+        if math.sqrt(sum(gi * gi for gi in g)) <= config.convergence_tolerance:
             converged = True
             break
         step = config.step_size
         accepted = False
         for _ in range(60):
-            candidate = project_simplex(x + step * g)
+            candidate = project_simplex([xi + step * gi for xi, gi in zip(x, g)])
             fc = ratio_float(candidate, k)
             if fc > f:
                 x, f = candidate, fc
@@ -296,14 +293,14 @@ def maximize_ratio(config: SearchConfig) -> SearchResult:
             converged = True
             break
 
-    exact_point = make_vector([Fraction(float(xi)) for xi in x])
+    exact_point = make_vector([Fraction(xi) for xi in x])
     exact_lhs = lhs_main(exact_point, k)
     exact_rhs = rhs_main(exact_point, k)
     if exact_lhs > exact_rhs:
         raise Violation(Statement.MAIN_THEOREM, exact_point, k, exact_lhs, exact_rhs)
 
     return SearchResult(
-        argmax=tuple(float(xi) for xi in x),
+        argmax=tuple(x),
         ratio=f,
         iterations=iterations,
         converged=converged,

@@ -3,8 +3,11 @@ elementary symmetric polynomials.
 
 Subsets are canonical strictly-increasing index tuples, emitted in
 lexicographic order (the deterministic contract every checker and golden
-transcript relies on). `elementary_symmetric` is a row dynamic program;
-brute-force enumeration through the subset ops stays available as its
+transcript relies on). Two kernels are generic over the number type, so the
+exact checkers (Fraction) and the float objective share them:
+`subset_terms` yields each k-subset's (product, sum), and
+`elementary_symmetric` is a row dynamic program. Brute-force enumeration
+through `iterate_k_subsets` and the subset ops stays available as their
 independent oracle.
 """
 
@@ -12,18 +15,38 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from symineq.exact import PositiveVector
 
 SubsetIndex = tuple[int, ...]
 
 
-def iterate_k_subsets(n: int, k: int) -> Iterator[SubsetIndex]:
-    """Yield all C(n, k) k-subsets of range(n) in lexicographic order."""
+def check_k(k: int, n: int) -> None:
+    """Raise ValueError unless 0 < k <= n."""
     if not 0 < k <= n:
         raise ValueError(f"k must satisfy 0 < k <= n, got k={k} n={n}")
+
+
+def iterate_k_subsets(n: int, k: int) -> Iterator[SubsetIndex]:
+    """Yield all C(n, k) k-subsets of range(n) in lexicographic order."""
+    check_k(k, n)
     return iter(combinations(range(n), k))
+
+
+def subset_terms(entries: Sequence, k: int) -> Iterator[tuple]:
+    """Yield (product, sum) of every k-subset of entries, in lexicographic order.
+
+    Both are seeded from the subset's first entry, not from 1 and 0: that
+    saves a Fraction operation per subset and gives the same floats.
+    """
+    check_k(k, len(entries))
+    for s in combinations(entries, k):
+        prod = tot = s[0]
+        for a in s[1:]:
+            prod *= a
+            tot += a
+        yield prod, tot
 
 
 def _validate_subset(v: PositiveVector, s: SubsetIndex) -> None:
@@ -51,17 +74,16 @@ def subset_product(v: PositiveVector, s: SubsetIndex) -> Fraction:
     return out
 
 
-def elementary_symmetric(v: PositiveVector, k: int) -> Fraction:
+def elementary_symmetric(v: Sequence, k: int):
     """e_k(v): the sum over all k-subsets of their entry products.
 
     Computed by the O(n*k) row recurrence
     e_k(a_1..a_m) = e_k(a_1..a_{m-1}) + a_m * e_{k-1}(a_1..a_{m-1}),
-    updating in place with j descending so each a_m is used once.
+    updating in place with j descending so each a_m is used once. The result
+    has the entries' number type: the int seeds 1 and 0 give way to it.
     """
-    n = len(v)
-    if not 0 < k <= n:
-        raise ValueError(f"k must satisfy 0 < k <= n, got k={k} n={n}")
-    row = [Fraction(1)] + [Fraction(0)] * k
+    check_k(k, len(v))
+    row = [1] + [0] * k
     for m, a in enumerate(v, start=1):
         for j in range(min(m, k), 0, -1):
             row[j] += a * row[j - 1]

@@ -161,6 +161,9 @@ def test_usage_errors_exit_1():
         ("fuzz", "--n", "8..2"),                              # empty range
         ("fuzz", "--n", "2..4", "--k", "9"),                  # no admissible n
         ("maximize", "--n", "4", "--k", "4"),                 # boundary k
+        ("maximize", "--n", "5", "--k", "2", "--step", "nan"),
+        ("maximize", "--n", "5", "--k", "2", "--step", "inf"),
+        ("maximize", "--n", "5", "--k", "2", "--tolerance", "inf"),
         ("frobnicate",),                                      # unknown command
     ]
     for args in cases:
@@ -201,6 +204,24 @@ def test_witnessed_violation_exits_2(monkeypatch, capsys):
     assert "slack=-1" in captured.err
 
 
+def test_violation_keeps_earlier_report_lines(monkeypatch, capsys, tmp_path):
+    corpus = tmp_path / "two.txt"
+    corpus.write_text("1 2 3\n4 5 6\n")
+
+    def second_inverted(v, k):
+        if v[0] == 4:
+            raise Violation(Statement.MAIN_THEOREM, v, k, Fraction(3), Fraction(2))
+        return check_main(v, k)
+
+    monkeypatch.setattr("symineq.cli.check_main", second_inverted)
+    code = main(["check", "--file", str(corpus), "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ("MainTheorem n=3 k=2 v=(1, 2, 3): lhs=157/60 rhs=11/4"
+                            " slack=2/15 strict\n")
+    assert "slack=-1" in captured.err
+
+
 def test_fuzz_with_violations_exits_2(monkeypatch, capsys):
     def inverted(v, k):
         raise Violation(Statement.MAIN_THEOREM, v, k, Fraction(3), Fraction(2))
@@ -211,3 +232,12 @@ def test_fuzz_with_violations_exits_2(monkeypatch, capsys):
     assert code == 2
     assert "violations: 15" in captured.out  # 5 trials x 3 values of k
     assert "min slack: -1" in captured.out
+
+
+# ---- dependencies ----
+
+def test_import_leaves_numpy_out():
+    # the package has no runtime dependencies; this keeps numpy from creeping back
+    probe = "import sys, symineq, symineq.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.stdout == "False\n", result.stderr

@@ -12,6 +12,7 @@ from symineq.symfun import (
     iterate_k_subsets,
     subset_product,
     subset_sum,
+    subset_terms,
 )
 
 entry = st.fractions(min_value=Fraction(1, 100), max_value=100)
@@ -81,6 +82,15 @@ def test_subset_ops_match_direct_arithmetic(v, data):
                 min_size=k, max_size=k))))
     assert subset_sum(v, s) == sum(v[i] for i in s)
     assert subset_product(v, s) == math.prod(v[i] for i in s)
+
+
+@given(vectors, st.data())
+def test_subset_terms_match_subset_ops(v, data):
+    # the shared kernel against the brute-force oracles, subset by subset
+    k = data.draw(st.integers(min_value=1, max_value=len(v)))
+    expected = [(subset_product(v, s), subset_sum(v, s))
+                for s in iterate_k_subsets(len(v), k)]
+    assert list(subset_terms(v.entries, k)) == expected
 
 
 # ---- elementary symmetric polynomials ----
