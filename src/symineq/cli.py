@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from symineq.exact import (
     PositiveVector,
+    RenderError,
     ScalarParseError,
     VectorError,
     make_vector,
@@ -47,7 +48,9 @@ from symineq.search import (
     maximize_ratio,
 )
 
-DEFAULT_MAX_N = 20  # subset enumeration is exponential in n; cap unless overridden
+# Cap unless overridden: wide rationals give the lhs DP about C(n, k) distinct
+# subset sums, and the proof identity enumerates subsets outright.
+DEFAULT_MAX_N = 20
 
 _TOKEN_RE = re.compile(r"[^\s,]+")
 _RANGE_RE = re.compile(r"(?P<lo>[0-9]+)(?:\.\.(?P<hi>[0-9]+))?\Z")
@@ -92,6 +95,8 @@ def _read_vector_file(path: str) -> list[PositiveVector]:
             lines = fh.readlines()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
     vectors = []
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0]
@@ -392,7 +397,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, RenderError) as exc:
         print(f"symineq: error: {exc}", file=sys.stderr)
         return 1
     except Violation as exc:

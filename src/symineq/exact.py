@@ -13,11 +13,18 @@ Scalar text grammar (bit-exact):
 
 Decimals parse to exact rationals ("0.1" is 1/10, never a binary float).
 Canonical rendering is "p/q" for denominator q > 1, else "p".
+
+Integers convert to and from text only up to the interpreter's digit limit
+(`sys.get_int_max_str_digits()`, 4300 by default in CPython). Past it a
+literal is refused with ScalarParseError and a value with RenderError; the
+limit itself is left as it is.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -35,6 +42,10 @@ class VectorError(ValueError):
     """Input vector is empty or has a nonpositive entry."""
 
 
+class RenderError(ValueError):
+    """An exact value has more digits than the interpreter converts to text."""
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse an integer, decimal, or fraction literal into an exact rational.
 
@@ -47,21 +58,39 @@ def parse_scalar(text: str) -> Fraction:
     if m is None:
         raise ScalarParseError(f"malformed scalar {text!r}")
     num, dec, den = m.group("num", "dec", "den")
-    if den is not None:
-        if int(den) == 0:
+    try:
+        p = int(num)
+        q = None if den is None else int(den)
+        decimals = None if dec is None else int(dec)
+    except ValueError as exc:  # a digit run past the interpreter's int/str limit
+        raise ScalarParseError(
+            f"scalar literal of {len(text)} characters has a run of more than "
+            f"{sys.get_int_max_str_digits()} digits") from exc
+    if q is not None:
+        if q == 0:
             raise ScalarParseError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    if dec is not None:
+        return Fraction(p, q)
+    if decimals is not None:
         sign = -1 if num[0] == "-" else 1
-        return Fraction(sign * (abs(int(num)) * 10 ** len(dec) + int(dec)), 10 ** len(dec))
-    return Fraction(int(num))
+        return Fraction(sign * (abs(p) * 10 ** len(dec) + decimals), 10 ** len(dec))
+    return Fraction(p)
 
 
 def render_scalar(x: Fraction) -> str:
-    """Canonical rendering: "p/q" when q > 1, else "p"."""
-    if x.denominator > 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(x.numerator)
+    """Canonical rendering: "p/q" when q > 1, else "p".
+
+    Raises RenderError when a part has more digits than the interpreter
+    converts to text (`sys.get_int_max_str_digits`).
+    """
+    try:
+        if x.denominator > 1:
+            return f"{x.numerator}/{x.denominator}"
+        return str(x.numerator)
+    except ValueError as exc:
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        raise RenderError(
+            f"exact value of about {int(bits * math.log10(2)) + 1} digits is past "
+            f"the {sys.get_int_max_str_digits()}-digit limit for rendering") from exc
 
 
 @dataclass(frozen=True)

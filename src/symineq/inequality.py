@@ -11,17 +11,22 @@ vectors for 1 < k < n. Supporting checks: the reciprocal bound
 product bound (the k = 2 case written as a direct double sum), and the
 rearrangement identity behind the proof. All arithmetic is exact; a
 negative slack is raised as `Violation`, never returned in a report.
+
+The left side is a subset-sum dynamic program (`symfun.products_by_sum`),
+not an enumeration; its brute-force oracle lives in the tests. The proof
+identity keeps its own subset enumeration, so it stays an independent check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
 from symineq.exact import PositiveVector, render_scalar
-from symineq.symfun import check_k, elementary_symmetric, subset_terms
+from symineq.symfun import check_k, elementary_symmetric, products_by_sum, subset_terms
 
 
 class Statement(Enum):
@@ -108,8 +113,40 @@ def _report(statement: Statement, v: PositiveVector, k: int,
 # --------------------------------------------------------------------------
 
 def lhs_main(v: PositiveVector, k: int) -> Fraction:
-    """Sum over all k-subsets of subset_product / subset_sum, exactly."""
-    return sum((prod / tot for prod, tot in subset_terms(v.entries, k)), Fraction(0))
+    """Sum over all k-subsets of subset_product / subset_sum, exactly.
+
+    A subset enters only through its product and its sum, so subsets that
+    share a sum are added before the one division. With L the lcm of the
+    denominators and b = a*L, the entries become integers, and
+    lhs = sum_s P(s)/s / L^(k-1), where P(s) is the total of prod(b_S) over
+    the k-subsets with sum(b_S) = s (`products_by_sum`).
+    """
+    scale = math.lcm(*(a.denominator for a in v))
+    ints = [a.numerator * (scale // a.denominator) for a in v]
+    terms = []
+    for s, p in products_by_sum(ints, k).items():
+        # each b_i is a multiple of L / q_i, so s and p share the factors of L
+        # that no denominator in the subset uses: cancel them while small
+        g = math.gcd(p, s)
+        terms.append((p // g, s // g))
+    num, den = _sum_fractions(terms)
+    return Fraction(num, den * scale ** (k - 1))
+
+
+def _sum_fractions(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the (numerator, denominator) pairs, unreduced.
+
+    The pairs are added as a balanced tree, so the operands grow evenly and
+    no gcd is paid on the large operands until the caller builds the one
+    Fraction.
+    """
+    while len(terms) > 1:
+        merged = [(n1 * d2 + n2 * d1, d1 * d2)
+                  for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    return terms[0]
 
 
 def rhs_main(v: PositiveVector, k: int) -> Fraction:

@@ -3,10 +3,12 @@ elementary symmetric polynomials.
 
 Subsets are canonical strictly-increasing index tuples, emitted in
 lexicographic order (the deterministic contract every checker and golden
-transcript relies on). Two kernels are generic over the number type, so the
-exact checkers (Fraction) and the float objective share them:
-`subset_terms` yields each k-subset's (product, sum), and
-`elementary_symmetric` is a row dynamic program. Brute-force enumeration
+transcript relies on). There are three kernels. `subset_terms` yields each
+k-subset's (product, sum) and `elementary_symmetric` is a row dynamic
+program; both are generic over the number type, so the exact checkers
+(Fraction) and the float objective share them. `products_by_sum` is the
+same row recurrence on integers with every row keyed by subset sum, which
+the exact left side of the main bound is built on. Brute-force enumeration
 through `iterate_k_subsets` and the subset ops stays available as their
 independent oracle.
 """
@@ -88,3 +90,28 @@ def elementary_symmetric(v: Sequence, k: int):
         for j in range(min(m, k), 0, -1):
             row[j] += a * row[j - 1]
     return row[k]
+
+
+def products_by_sum(ints: Sequence[int], k: int) -> dict[int, int]:
+    """Map each k-subset sum s to the total product of the k-subsets summing to s.
+
+    The `elementary_symmetric` row recurrence with every row keyed by subset
+    sum: rows[j][s] is the total of prod(S) over the j-subsets S of the
+    entries seen so far with sum(S) = s, so summing the returned values gives
+    e_k. Subsets that share a sum are merged, so the cost follows the number
+    of distinct sums, not C(n, k). After entry m only rows j >= k - (n - m)
+    can still reach row k; the others are dropped.
+    """
+    n = len(ints)
+    check_k(k, n)
+    rows = [{0: 1}] + [{} for _ in range(k)]
+    for m, b in enumerate(ints, start=1):
+        need = k - (n - m)  # the lowest row that can still reach row k
+        for j in range(min(m, k), max(need, 1) - 1, -1):
+            dst = rows[j]
+            for s, p in rows[j - 1].items():
+                s += b
+                dst[s] = dst.get(s, 0) + p * b
+        if need > 0:
+            rows[need - 1] = {}  # it fed row `need` for the last time
+    return rows[k]

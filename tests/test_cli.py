@@ -173,6 +173,29 @@ def test_usage_errors_exit_1():
         assert result.stdout == "", args
 
 
+def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"1 2 \xff\n")
+    # ten 6-digit rationals: the exact lhs at k=5 has about 6,300 digits,
+    # past the interpreter's 4,300-digit int/str limit
+    wide = ("123457/654321 234567/765432 345679/876543 456781/987654 "
+            "567891/198765 678901/219876 789013/321987 890123/432198 "
+            "901235/543219 112347/654329")
+    cases = [
+        ("check", "--file", str(not_utf8), "--k", "1"),
+        ("check", "--values", "7" * 5000 + ",2", "--k", "1"),
+        ("check", "--values", wide, "--k", "5"),
+        ("check", "--values", wide, "--k", "5", "--format", "json"),
+    ]
+    results = [run_cli(*args) for args in cases]
+    for args, result in zip(cases, results):
+        assert result.returncode == 1, args[:2]
+        assert result.stderr.startswith("symineq: error:"), result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert "Traceback" not in result.stderr
+    assert str(not_utf8) in results[0].stderr
+
+
 def test_file_errors_report_line_and_column(tmp_path):
     corpus = tmp_path / "bad.txt"
     corpus.write_text("1 2\n3 oops 4\n")

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from symineq.exact import (
     PositiveVector,
+    RenderError,
     ScalarParseError,
     VectorError,
     make_vector,
@@ -53,6 +54,13 @@ def test_zero_denominator_is_a_parse_error_not_a_crash():
         parse_scalar("5/0")
 
 
+@pytest.mark.parametrize("text", ["7" * 5000, "1/" + "3" * 5000, "0." + "1" * 5000],
+                         ids=["integer", "denominator", "decimals"])
+def test_parse_refuses_digit_runs_past_the_int_str_limit(text):
+    with pytest.raises(ScalarParseError, match="more than 4300 digits"):
+        parse_scalar(text)
+
+
 # ---- rendering ----
 
 def test_render_canonical_forms():
@@ -62,6 +70,13 @@ def test_render_canonical_forms():
     assert render_scalar(Fraction(7)) == "7"
     assert render_scalar(Fraction(0)) == "0"
     assert render_scalar(Fraction(-3)) == "-3"
+
+
+@pytest.mark.parametrize("x", [Fraction(10 ** 5000), Fraction(-1, 10 ** 5000)],
+                         ids=["numerator", "denominator"])
+def test_render_refuses_values_past_the_int_str_limit(x):
+    with pytest.raises(RenderError, match="about 5001 digits"):
+        render_scalar(x)
 
 
 @given(st.fractions())

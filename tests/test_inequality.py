@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symineq.exact import make_vector, parse_scalar
 from symineq.inequality import (
@@ -27,6 +27,14 @@ from symineq.inequality import (
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
 vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
 vectors2 = st.lists(entry, min_size=2, max_size=7).map(make_vector)
+# few distinct subset sums, so the lhs dynamic program merges many subsets
+colliding_vectors = st.lists(
+    st.one_of(st.integers(min_value=1, max_value=3).map(Fraction),
+              st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)),
+    min_size=1, max_size=12).map(make_vector)
+six_digits = st.integers(min_value=10 ** 5, max_value=10 ** 6 - 1)
+wide_vectors = st.lists(st.builds(Fraction, six_digits, six_digits),
+                        min_size=1, max_size=8).map(make_vector)
 uniform_vectors = st.tuples(st.integers(min_value=1, max_value=8), entry).map(
     lambda t: make_vector([t[1]] * t[0]))
 
@@ -64,6 +72,20 @@ def test_sides_match_oracles(v, data):
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
     assert lhs_main(v, k) == lhs_oracle(v, k)
     assert rhs_main(v, k) == rhs_oracle(v, k)
+
+
+@settings(deadline=None)  # the oracle enumerates up to 4095 subsets per example
+@given(st.one_of(colliding_vectors, wide_vectors))
+def test_lhs_matches_oracle_on_colliding_sums_and_wide_rationals(v):
+    for k in range(1, len(v) + 1):
+        assert lhs_main(v, k) == lhs_oracle(v, k)
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(7, 3)])
+def test_lhs_uniform_closed_form_far_past_enumeration(c):
+    # C(60, 30) is about 1.2e17 subsets: only the subset-sum DP finishes
+    n, k = 60, 30
+    assert lhs_main(make_vector([c] * n), k) == Fraction(math.comb(n, k)) * c ** (k - 1) / k
 
 
 @given(vectors, st.data())

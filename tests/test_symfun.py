@@ -10,6 +10,7 @@ from symineq.exact import make_vector
 from symineq.symfun import (
     elementary_symmetric,
     iterate_k_subsets,
+    products_by_sum,
     subset_product,
     subset_sum,
     subset_terms,
@@ -150,3 +151,27 @@ def test_ek_split_recurrence(v, data):
     if k <= len(v):
         expected += elementary_symmetric(v, k)
     assert elementary_symmetric(extended, k) == expected
+
+
+# ---- products grouped by subset sum ----
+
+@given(vectors, st.data())
+def test_products_by_sum_regroups_ek_of_scaled_integers(v, data):
+    # the DP rows against e_k and against a brute-force grouping by sum
+    k = data.draw(st.integers(min_value=1, max_value=len(v)))
+    scale = math.lcm(*(a.denominator for a in v))
+    ints = [int(a * scale) for a in v]
+    row = products_by_sum(ints, k)
+    assert sum(row.values()) == elementary_symmetric(ints, k)
+    expected = {}
+    for s in combinations(ints, k):
+        expected[sum(s)] = expected.get(sum(s), 0) + math.prod(s)
+    assert row == expected
+
+
+def test_products_by_sum_frozen():
+    # 2-subsets of (1, 2, 3, 4): sums 3, 4, 5, 5, 6, 7
+    assert products_by_sum([1, 2, 3, 4], 2) == {3: 2, 4: 3, 5: 4 + 6, 6: 8, 7: 12}
+    assert products_by_sum([5], 1) == {5: 5}
+    with pytest.raises(ValueError):
+        products_by_sum([1, 2], 3)
