@@ -33,7 +33,6 @@ from symineq.inequality import (
     check_reciprocal_lemma,
     classify_equality,
     lhs_main,
-    normalize,
     proof_identity,
     report_from_record,
     report_to_record,
@@ -73,7 +72,6 @@ __all__ = [
     "check_reciprocal_lemma",
     "classify_equality",
     "lhs_main",
-    "normalize",
     "proof_identity",
     "report_from_record",
     "report_to_record",

@@ -12,9 +12,12 @@ product bound (the k = 2 case written as a direct double sum), and the
 rearrangement identity behind the proof. All arithmetic is exact; a
 negative slack is raised as `Violation`, never returned in a report.
 
-The left side is a subset-sum dynamic program (`symfun.products_by_sum`),
-not an enumeration; its brute-force oracle lives in the tests. The proof
-identity keeps its own subset enumeration, so it stays an independent check.
+Both sides of the main bound and of the identity work on the integer form
+of v: the denominators are cleared once (b = v*L, L their lcm), the sums
+run on ints, and each side builds one Fraction at the end. The left side is
+a subset-sum dynamic program (`symfun.products_by_sum`), not an
+enumeration; its brute-force oracle lives in the tests. The proof identity
+keeps its own subset enumeration, so it stays an independent check.
 """
 
 from __future__ import annotations
@@ -112,48 +115,53 @@ def _report(statement: Statement, v: PositiveVector, k: int,
 # Main bound
 # --------------------------------------------------------------------------
 
-def lhs_main(v: PositiveVector, k: int) -> Fraction:
-    """Sum over all k-subsets of subset_product / subset_sum, exactly.
-
-    A subset enters only through its product and its sum, so subsets that
-    share a sum are added before the one division. With L the lcm of the
-    denominators and b = a*L, the entries become integers, and
-    lhs = sum_s P(s)/s / L^(k-1), where P(s) is the total of prod(b_S) over
-    the k-subsets with sum(b_S) = s (`products_by_sum`).
-    """
+def _integer_form(v: PositiveVector) -> tuple[list[int], int]:
+    """(b, L): L is the lcm of the denominators of v and b = v*L, in integers."""
     scale = math.lcm(*(a.denominator for a in v))
-    ints = [a.numerator * (scale // a.denominator) for a in v]
+    return [a.numerator * (scale // a.denominator) for a in v], scale
+
+
+def _sum_over_sums(by_sum: dict[int, int], scale: int) -> Fraction:
+    """sum_s N(s)/s / scale, for by_sum mapping each subset sum s to N(s).
+
+    Each term is cancelled by one small gcd, then the terms are added as a
+    balanced tree of unreduced (numerator, denominator) pairs, so the
+    operands grow evenly and the only large gcd is the one in the Fraction
+    built at the end.
+    """
     terms = []
-    for s, p in products_by_sum(ints, k).items():
-        # each b_i is a multiple of L / q_i, so s and p share the factors of L
-        # that no denominator in the subset uses: cancel them while small
+    for s, p in by_sum.items():
+        # the entries are multiples of L / q_i, so s and N(s) share the
+        # factors of L that no denominator in the subsets uses
         g = math.gcd(p, s)
         terms.append((p // g, s // g))
-    num, den = _sum_fractions(terms)
-    return Fraction(num, den * scale ** (k - 1))
-
-
-def _sum_fractions(terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of the (numerator, denominator) pairs, unreduced.
-
-    The pairs are added as a balanced tree, so the operands grow evenly and
-    no gcd is paid on the large operands until the caller builds the one
-    Fraction.
-    """
     while len(terms) > 1:
         merged = [(n1 * d2 + n2 * d1, d1 * d2)
                   for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2])]
         if len(terms) % 2:
             merged.append(terms[-1])
         terms = merged
-    return terms[0]
+    num, den = terms[0]
+    return Fraction(num, den * scale)
+
+
+def lhs_main(v: PositiveVector, k: int) -> Fraction:
+    """Sum over all k-subsets of subset_product / subset_sum, exactly.
+
+    A subset enters only through its product and its sum, so subsets that
+    share a sum are added before the one division. On the integer form
+    b = a*L, lhs = sum_s P(s)/s / L^(k-1), where P(s) is the total of
+    prod(b_S) over the k-subsets with sum(b_S) = s (`products_by_sum`).
+    """
+    ints, scale = _integer_form(v)
+    return _sum_over_sums(products_by_sum(ints, k), scale ** (k - 1))
 
 
 def rhs_main(v: PositiveVector, k: int) -> Fraction:
-    """(n/k) * e_k(v) / sum(v), with e_k from the dynamic program."""
-    n = len(v)
-    check_k(k, n)
-    return Fraction(n, k) * elementary_symmetric(v, k) / v.total()
+    """(n/k) * e_k(v) / sum(v) = n * e_k(b) / (k * L^(k-1) * sum(b)) on b = a*L."""
+    ints, scale = _integer_form(v)
+    return Fraction(len(v) * elementary_symmetric(ints, k),
+                    k * scale ** (k - 1) * sum(ints))
 
 
 def check_main(v: PositiveVector, k: int) -> InequalityReport:
@@ -212,43 +220,39 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
 # Proof identity and equality classification
 # --------------------------------------------------------------------------
 
-def normalize(v: PositiveVector) -> tuple[PositiveVector, Fraction]:
-    """Rescale v to unit sum; returns (normalized vector, original sum)."""
-    total = v.total()
-    return PositiveVector(tuple(a / total for a in v)), total
-
-
 def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
     """Both sides of the rearrangement identity, computed independently.
 
-    On the unit-sum rescaling w of v (done internally; the recorded scale is
-    sum(v), see `normalize`):
+    On the unit-sum rescaling w = v / sum(v):
 
       left  = k * sum_{|S|=k}   prod(w_S) * (1 - sum(w_S)) / sum(w_S)
       right = k * sum_{|S|=k+1} sum_{|T|=k, T subset S} prod(w_S) / sum(w_T)
 
-    left enumerates k-subsets, right enumerates (k+1)-subsets and their
-    k-sub-subsets; the contract is left == right exactly.
+    With b the integer form of v and B = sum(b), w = b/B, so
+    left  = k * sum_T prod(b_T) * (B - sum(b_T)) / sum(b_T) / B^k and
+    right = k * sum_{S, T} prod(b_S) / sum(b_T) / B^k. Each side groups its
+    numerators by sum(b_T). left enumerates k-subsets, right enumerates
+    (k+1)-subsets and their k-sub-subsets (S less one entry); the contract
+    is left == right exactly.
     """
     n = len(v)
     if not 0 < k < n:
         raise ValueError(f"k must satisfy 0 < k < n, got k={k} n={n}")
-    w, _ = normalize(v)
-    a = w.entries
+    b, _ = _integer_form(v)
+    total = sum(b)
 
-    left = k * sum((prod * (1 - tot) / tot for prod, tot in subset_terms(a, k)),
-                   Fraction(0))
+    left: dict[int, int] = {}
+    for prod, tot in subset_terms(b, k):
+        left[tot] = left.get(tot, 0) + prod * (total - tot)
 
-    right = Fraction(0)
-    for s in combinations(range(n), k + 1):
-        prod = Fraction(1)
-        for i in s:
-            prod *= a[i]
-        for t in combinations(s, k):
-            right += prod / sum((a[i] for i in t), Fraction(0))
-    right *= k
+    right: dict[int, int] = {}
+    for s in combinations(b, k + 1):
+        prod, tot = math.prod(s), sum(s)
+        for a in s:
+            right[tot - a] = right.get(tot - a, 0) + prod
 
-    return left, right
+    scale = total ** k
+    return k * _sum_over_sums(left, scale), k * _sum_over_sums(right, scale)
 
 
 def check_proof_identity(v: PositiveVector, k: int) -> InequalityReport:

@@ -99,10 +99,6 @@ class FuzzReport:
     k_policy: str
 
 
-def describe_k_policy(k_policy: KPolicy) -> str:
-    return f"k={k_policy}" if isinstance(k_policy, int) else k_policy
-
-
 def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
          distribution: Distribution, seed: int) -> FuzzReport:
     """Run seeded random trials through the exact main-bound checker.
@@ -128,8 +124,7 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     elif k_policy != "all":
         raise ValueError(f"unknown k policy {k_policy!r}")
     if lo > hi:
-        raise ValueError(f"no n in {n_range[0]}..{hi} admits k policy "
-                         f"{describe_k_policy(k_policy)}")
+        raise ValueError(f"no n in {n_range[0]}..{hi} admits k={k_policy}")
 
     rng = random.Random(seed)
     checks = 0
@@ -161,7 +156,7 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
         trials=trials, checks=checks, violations=violations,
         min_slack=best[0], witness=best[1], witness_k=best[2],
         seed=seed, distribution=distribution.describe(),
-        n_range=n_range, k_policy=describe_k_policy(k_policy),
+        n_range=n_range, k_policy=str(k_policy),
     )
 
 
@@ -274,12 +269,13 @@ def maximize_ratio(config: SearchConfig) -> SearchResult:
         g = finite_difference_gradient(x, k)
         mean = sum(g) / n
         g = [gi - mean for gi in g]
-        if math.sqrt(sum(gi * gi for gi in g)) <= config.convergence_tolerance:
+        norm = math.sqrt(sum(gi * gi for gi in g))
+        if norm <= config.convergence_tolerance:
             converged = True
             break
         step = config.step_size
         accepted = False
-        for _ in range(60):
+        while step * norm > 1e-18:  # halve until the move is below float resolution
             candidate = project_simplex([xi + step * gi for xi, gi in zip(x, g)])
             fc = ratio_float(candidate, k)
             if fc > f:

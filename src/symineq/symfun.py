@@ -5,12 +5,13 @@ Subsets are canonical strictly-increasing index tuples, emitted in
 lexicographic order (the deterministic contract every checker and golden
 transcript relies on). There are three kernels. `subset_terms` yields each
 k-subset's (product, sum) and `elementary_symmetric` is a row dynamic
-program; both are generic over the number type, so the exact checkers
-(Fraction) and the float objective share them. `products_by_sum` is the
-same row recurrence on integers with every row keyed by subset sum, which
-the exact left side of the main bound is built on. Brute-force enumeration
-through `iterate_k_subsets` and the subset ops stays available as their
-independent oracle.
+program; both are generic over the number type, so the exact checkers,
+which pass the integers of a vector with its denominators cleared, and the
+float objective share them. `products_by_sum` is the same row recurrence
+on integers with every row keyed by subset sum, which the exact left side
+of the main bound is built on. Brute-force enumeration through
+`iterate_k_subsets` and the subset ops stays available as their independent
+oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def subset_terms(entries: Sequence, k: int) -> Iterator[tuple]:
     """Yield (product, sum) of every k-subset of entries, in lexicographic order.
 
     Both are seeded from the subset's first entry, not from 1 and 0: that
-    saves a Fraction operation per subset and gives the same floats.
+    saves an operation per subset and gives the same floats.
     """
     check_k(k, len(entries))
     for s in combinations(entries, k):

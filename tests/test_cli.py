@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, strategies as st
 
 from symineq.cli import main
 from symineq.exact import make_vector
@@ -132,6 +136,14 @@ def test_fuzz_near_uniform_flags():
     assert "k=interior" in result.stdout
 
 
+def test_fuzz_single_k_header_and_record(capsys):
+    args = ["fuzz", "--n", "3..5", "--k", "2", "--trials", "5"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("fuzz: n=3..5 k=2 trials=5 ")
+    assert main(args + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["k_policy"] == "2"
+
+
 def test_maximize_text_and_json():
     text = run_cli("maximize", "--n", "4", "--k", "2")
     assert text.returncode == 0
@@ -194,6 +206,29 @@ def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
         assert result.stderr.count("\n") == 1, result.stderr
         assert "Traceback" not in result.stderr
     assert str(not_utf8) in results[0].stderr
+
+
+value_text = st.lists(st.text(alphabet="0123456789/.-,x ", min_size=1, max_size=6),
+                      max_size=8).map(" ".join)
+
+
+@given(st.sampled_from(["check", "lemma", "identity"]), value_text,
+       st.integers(min_value=0, max_value=4))
+def test_random_values_end_in_a_report_or_one_error_line(command, text, k):
+    argv = [command, f"--values={text}"]
+    if command == "lemma":
+        argv += ["--which", "pairwise" if k % 2 else "reciprocal"]
+    else:
+        argv += ["--k", str(k)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping here fails the test
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("symineq: error:")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def test_file_errors_report_line_and_column(tmp_path):

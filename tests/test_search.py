@@ -135,7 +135,7 @@ def test_fuzz_single_k_policy():
     report = fuzz((3, 6), 2, 50, Distribution("integers", bound=10), seed=5)
     assert report.checks == report.trials == 50
     assert report.witness_k == 2
-    assert report.k_policy == "k=2"
+    assert report.k_policy == "2"
 
 
 def test_fuzz_interior_policy_on_near_uniform_is_strictly_positive():
@@ -260,12 +260,16 @@ def test_maximize_same_config_same_result():
 
 
 def test_maximize_reaches_uniform():
-    result = maximize_ratio(SearchConfig(n=4, k=2, seed=0))
-    assert result.converged
-    assert result.ratio >= 1 - 1e-9
-    assert result.ratio <= 1 + 1e-12
-    assert max(abs(x - 0.25) for x in result.argmax) <= 1e-4
-    assert result.exact_ratio <= 1
+    # a step of 1e20 must backtrack to a useful size, not stop at a halving budget
+    for config in (SearchConfig(n=4, k=2, seed=0),
+                   SearchConfig(n=5, k=2, seed=0, step_size=1e20)):
+        result = maximize_ratio(config)
+        assert result.converged
+        assert result.iterations > 0
+        assert result.ratio >= 1 - 1e-9
+        assert result.ratio <= 1 + 1e-12
+        assert max(abs(x - 1 / config.n) for x in result.argmax) <= 1e-4
+        assert result.exact_ratio <= 1
 
 
 def test_maximize_trace_is_monotone_and_consistent():
