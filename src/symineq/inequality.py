@@ -17,7 +17,11 @@ of v: the denominators are cleared once (b = v*L, L their lcm), the sums
 run on ints, and each side builds one Fraction at the end. The left side is
 a subset-sum dynamic program (`symfun.products_by_sum`), not an
 enumeration; its brute-force oracle lives in the tests. The proof identity
-keeps its own subset enumeration, so it stays an independent check.
+walks its k-subsets through the shared prefix kernel
+(`symfun.subset_prefixes`) but keeps its own enumeration of the
+(k+1)-subsets on the other side, so it stays an independent check. The
+reciprocal lemma uses the same integer form; the pairwise lemma stays a
+literal double loop, the cross-check of the main bound at k = 2.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from symineq.exact import PositiveVector, render_scalar
-from symineq.symfun import check_k, elementary_symmetric, products_by_sum, subset_terms
+from symineq.symfun import check_k, elementary_symmetric, products_by_sum, subset_prefixes
 
 
 class Statement(Enum):
@@ -189,10 +193,17 @@ def check_reciprocal_lemma(v: PositiveVector) -> InequalityReport:
     n = len(v)
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    total = v.total()
-    averages_side = sum(((n - 1) / (total - a) for a in v), Fraction(0))
-    reciprocal_side = sum((1 / a for a in v), Fraction(0))
-    return _report(Statement.RECIPROCAL_LEMMA, v, n - 1, averages_side, reciprocal_side)
+    # On the integer form b = v*L with B = sum(b): (n-1)/(sum(v) - a_j) is
+    # (n-1)*L/(B - b_j) and 1/a_i is L/b_i. Equal denominators are grouped.
+    ints, scale = _integer_form(v)
+    total = sum(ints)
+    averages: dict[int, int] = {}
+    reciprocals: dict[int, int] = {}
+    for b in ints:
+        averages[total - b] = averages.get(total - b, 0) + (n - 1) * scale
+        reciprocals[b] = reciprocals.get(b, 0) + scale
+    return _report(Statement.RECIPROCAL_LEMMA, v, n - 1,
+                   _sum_over_sums(averages, 1), _sum_over_sums(reciprocals, 1))
 
 
 def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
@@ -242,8 +253,11 @@ def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
     total = sum(b)
 
     left: dict[int, int] = {}
-    for prod, tot in subset_terms(b, k):
-        left[tot] = left.get(tot, 0) + prod * (total - tot)
+    products, sums, starts = subset_prefixes(b, k)
+    for p, t, s in zip(products, sums, starts):
+        for a in b[s:]:
+            tot = t + a
+            left[tot] = left.get(tot, 0) + p * a * (total - tot)
 
     right: dict[int, int] = {}
     for s in combinations(b, k + 1):

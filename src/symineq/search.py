@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 from symineq.exact import PositiveVector, make_vector, render_scalar
 from symineq.inequality import Statement, Violation, check_main, lhs_main, rhs_main
-from symineq.symfun import elementary_symmetric, subset_terms
+from symineq.symfun import elementary_symmetric, subset_prefixes
 
 # Coordinates never drop below this during projection: the bound's domain is
 # strictly positive vectors, and float subset sums must stay away from 0.
@@ -186,10 +186,17 @@ class SearchResult:
 
 
 def ratio_float(x: Sequence[float], k: int) -> float:
-    """The float objective: lhs/rhs of the main bound at a positive point."""
+    """The float objective: lhs/rhs of the main bound at a positive point.
+
+    The lhs terms are added one by one in lexicographic subset order, not
+    by sum(), which compensates float sums from Python 3.12 on: that order
+    is what the seeded ascent's output bytes depend on.
+    """
+    products, sums, starts = subset_prefixes(x, k)
     lhs = 0.0
-    for prod, tot in subset_terms(x, k):
-        lhs += prod / tot
+    for p, t, s in zip(products, sums, starts):
+        for a in x[s:]:
+            lhs += p * a / (t + a)
     rhs = (len(x) / k) * elementary_symmetric(x, k) / sum(x)
     return lhs / rhs
 

@@ -3,20 +3,24 @@ elementary symmetric polynomials.
 
 Subsets are canonical strictly-increasing index tuples, emitted in
 lexicographic order (the deterministic contract every checker and golden
-transcript relies on). There are three kernels. `subset_terms` yields each
-k-subset's (product, sum) and `elementary_symmetric` is a row dynamic
-program; both are generic over the number type, so the exact checkers,
-which pass the integers of a vector with its denominators cleared, and the
-float objective share them. `products_by_sum` is the same row recurrence
-on integers with every row keyed by subset sum, which the exact left side
-of the main bound is built on. Brute-force enumeration through
-`iterate_k_subsets` and the subset ops stays available as their independent
-oracle.
+transcript relies on). There are three kernels. `subset_prefixes` builds
+the products and sums of the (k-1)-subsets level by level, so a prefix that
+many k-subsets share is folded once; a caller completes each prefix with
+the entries after it. `elementary_symmetric` is a row dynamic program. Both
+are generic over the number type, so the exact checkers, which pass the
+integers of a vector with its denominators cleared, and the float objective
+share them; on floats `subset_prefixes` gives every product and sum bit for
+bit as a left-to-right fold over the subset would. `products_by_sum` is the
+`elementary_symmetric` recurrence on integers with every row keyed by
+subset sum, which the exact left side of the main bound is built on.
+Brute-force enumeration through `iterate_k_subsets` and the subset ops
+stays available as their independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -37,19 +41,47 @@ def iterate_k_subsets(n: int, k: int) -> Iterator[SubsetIndex]:
     return iter(combinations(range(n), k))
 
 
-def subset_terms(entries: Sequence, k: int) -> Iterator[tuple]:
-    """Yield (product, sum) of every k-subset of entries, in lexicographic order.
+# Bounded, with room for every k of several short vectors in one process
+# (1 <= k < n for n = 2..8 is 28 plans). At n = 20 the plans of all k
+# together hold about 33 MB, the largest (k = 11) about 6 MB.
+@lru_cache(maxsize=32)
+def _prefix_plan(n: int, k: int) -> tuple[tuple, tuple[int, ...]]:
+    """The index plan of `subset_prefixes` for n entries and subset size k.
 
-    Both are seeded from the subset's first entry, not from 1 and 0: that
-    saves an operation per subset and gives the same floats.
+    Level j lists the j-subsets, in lexicographic order, that k - j larger
+    indices can still complete: for each, the position of its (j-1)-subset
+    in the level before and the index it adds. The last level's starts are
+    one past each (k-1)-subset's largest index. The plan is O(C(n, k-1)).
+    """
+    levels = []
+    starts: tuple[int, ...] = (0,)
+    for j in range(1, k):
+        limit = n - k + j  # indices below this leave k - j entries to come
+        parents = tuple(q for q, s in enumerate(starts) for _ in range(s, limit))
+        indices = tuple(i for s in starts for i in range(s, limit))
+        levels.append((parents, indices))
+        starts = tuple(i + 1 for i in indices)
+    return tuple(levels), starts
+
+
+def subset_prefixes(entries: Sequence, k: int) -> tuple[list, list, tuple[int, ...]]:
+    """(products, sums, starts) of the (k-1)-subsets that begin k-subsets.
+
+    Prefix q completed by each entry a of entries[starts[q]:], in turn, is a
+    k-subset with product products[q] * a and sum sums[q] + a; taken over q
+    in order, these are all k-subsets in lexicographic order. Each level is
+    built from the one before, seeded from 1 and 0, so the products and sums
+    match a left-to-right fold over each subset exactly, floats included
+    (1 * a == a and 0 + a == a), while a shared prefix is folded once.
     """
     check_k(k, len(entries))
-    for s in combinations(entries, k):
-        prod = tot = s[0]
-        for a in s[1:]:
-            prod *= a
-            tot += a
-        yield prod, tot
+    levels, starts = _prefix_plan(len(entries), k)
+    products, sums = [1], [0]
+    for parents, indices in levels:
+        added = [entries[i] for i in indices]
+        products = [products[q] * a for q, a in zip(parents, added)]
+        sums = [sums[q] + a for q, a in zip(parents, added)]
+    return products, sums, starts
 
 
 def _validate_subset(v: PositiveVector, s: SubsetIndex) -> None:

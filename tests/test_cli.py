@@ -1,13 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symineq.cli import main
 from symineq.exact import make_vector
@@ -229,6 +231,111 @@ def test_random_values_end_in_a_report_or_one_error_line(command, text, k):
         assert err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == ""
+
+
+def run_in_process(argv):
+    """(exit code, stderr) of main(argv); argparse's usage exits count as
+    exit codes, any other exception escapes and fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_report_or_one_error_line(code, err):
+    assert code in (0, 1), err
+    assert err.count("symineq: error:") <= 1, err
+    if code == 0:
+        assert err == ""
+    elif err.startswith("symineq: error:"):
+        assert err.count("\n") == 1, err
+
+
+# file contents: scalar-like text, raw bytes (often not UTF-8), digit runs on
+# both sides of the interpreter's 4300-digit limit, and blank lines
+file_piece = st.one_of(
+    st.integers(min_value=1, max_value=99).map(lambda i: str(i).encode()),
+    st.tuples(st.integers(min_value=1, max_value=99), st.integers(min_value=1, max_value=99))
+    .map(lambda pq: b"%d/%d" % pq),
+    st.text(alphabet="0123456789/.-+#", min_size=1, max_size=5).map(str.encode),
+    st.binary(min_size=1, max_size=3),
+    st.integers(min_value=4290, max_value=4310).map(lambda m: b"7" * m),
+)
+file_line = st.lists(st.tuples(file_piece, st.sampled_from([b" ", b",", b"\t", b""])),
+                     max_size=4).map(lambda parts: b"".join(p + sep for p, sep in parts))
+file_bytes = st.lists(file_line, max_size=4).map(b"\n".join)
+
+
+@given(file_bytes, st.sampled_from([
+    ["check", "--all-k"], ["check", "--k", "0"], ["check", "--k", "2"],
+    ["lemma", "--which", "reciprocal"], ["lemma", "--which", "pairwise"],
+    ["identity", "--k", "1"], ["identity", "--k", "3"]]), st.sampled_from(["text", "json"]))
+@settings(deadline=None)
+def test_random_files_end_in_a_report_or_one_error_line(contents, command, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vectors.txt")
+        with open(path, "wb") as fh:
+            fh.write(contents)
+        argv = [command[0], "--file", path, "--format", fmt, *command[1:]]
+        assert_report_or_one_error_line(*run_in_process(argv))
+
+
+def _small_ints(lo, hi):
+    return st.integers(min_value=lo, max_value=hi).map(str)
+
+
+junk = st.text(alphabet="0123456789.-+/eainf x", max_size=5)
+
+
+def _value(valid):
+    # one value in ten is malformed; the others are small, to keep each example cheap
+    return st.sampled_from([valid] * 9 + [junk]).flatmap(lambda strategy: strategy)
+
+
+def _argv(command, required, optional, budget_flag, budget):
+    """command, its options with values in any order, then the work budget
+    (--trials or --max-iter) last, so that it always bounds the work."""
+    options = st.fixed_dictionaries(required, optional=optional).flatmap(
+        lambda chosen: st.permutations(list(chosen.items())))
+    return st.tuples(options, _value(budget)).map(lambda case: [
+        command,
+        *(tok for flag, value in case[0] for tok in ([flag] if value is None else [flag, value])),
+        f"{budget_flag}={case[1]}"])
+
+
+float_text = st.one_of(st.floats(min_value=-1e3, max_value=1e3).map(repr),
+                   st.sampled_from(["0", "nan", "inf", "1e300", "1e-300", "5e-324"]))
+fuzz_argv = _argv("fuzz", {}, {
+    "--n": _value(st.one_of(_small_ints(0, 7), st.tuples(_small_ints(0, 7), _small_ints(0, 7))
+                            .map("..".join))),
+    "--k": _value(_small_ints(0, 7)),
+    "--exclude-boundary": st.none(),
+    "--seed": _value(st.integers().map(str)),
+    "--distribution": _value(st.sampled_from(["integers", "rationals", "near-uniform"])),
+    "--max-value": _value(_small_ints(-1, 1000)),
+    "--epsilon": _value(st.text(alphabet="0123456789/.", min_size=1, max_size=6)),
+    "--format": _value(st.sampled_from(["text", "json"])),
+    "--max-n": _value(_small_ints(-1, 20)),
+}, "--trials", _small_ints(-1, 20))
+maximize_argv = _argv("maximize", {
+    "--n": _value(_small_ints(2, 8)),
+    "--k": _value(_small_ints(1, 7)),
+}, {
+    "--seed": _value(st.integers().map(str)),
+    "--tolerance": _value(float_text),
+    "--step": _value(float_text),
+    "--format": _value(st.sampled_from(["text", "json"])),
+    "--max-n": _value(_small_ints(-1, 20)),
+}, "--max-iter", _small_ints(-1, 30))
+
+
+@given(st.one_of(fuzz_argv, maximize_argv))
+@settings(deadline=None)
+def test_random_fuzz_and_maximize_argv_end_in_a_report_or_one_error_line(argv):
+    assert_report_or_one_error_line(*run_in_process(argv))
 
 
 def test_file_errors_report_line_and_column(tmp_path):

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symineq.exact import make_vector
 from symineq.inequality import Statement, Violation
@@ -18,6 +20,7 @@ from symineq.search import (
     ratio,
     ratio_float,
 )
+from symineq.symfun import elementary_symmetric
 
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
 vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
@@ -245,6 +248,36 @@ def test_ratio_float_tracks_exact_ratio(ints, data):
     assert abs(approx - float(exact)) < 1e-9
 
 
+def ratio_float_oracle(x, k):
+    # the plain lexicographic fold: each k-subset's product and sum folded
+    # left to right from its first entry, the terms added one by one in
+    # lexicographic order; ratio_float must give the same float, bit for bit
+    lhs = 0.0
+    for s in combinations(x, k):
+        prod = tot = s[0]
+        for a in s[1:]:
+            prod *= a
+            tot += a
+        lhs += prod / tot
+    rhs = (len(x) / k) * elementary_symmetric(x, k) / sum(x)
+    return lhs / rhs
+
+
+# entries from the simplex floor up to 1e3, drawn from a pool so that they repeat
+float_pool = st.lists(st.floats(min_value=SIMPLEX_FLOOR, max_value=1e3),
+                      min_size=1, max_size=12)
+
+
+@given(float_pool, st.data())
+@settings(deadline=None)
+def test_ratio_float_is_the_oracle_fold_bit_for_bit(pool, data):
+    picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1),
+                               min_size=1, max_size=12))
+    x = [pool[i] for i in picks]
+    k = data.draw(st.integers(min_value=1, max_value=len(x)))
+    assert ratio_float(x, k) == ratio_float_oracle(x, k)  # exact, no tolerance
+
+
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 4)])
 def test_gradient_vanishes_at_uniform(n, k):
     g = finite_difference_gradient([1.0 / n] * n, k)
@@ -257,6 +290,31 @@ def test_gradient_vanishes_at_uniform(n, k):
 def test_maximize_same_config_same_result():
     config = SearchConfig(n=4, k=2, seed=3)
     assert maximize_ratio(config) == maximize_ratio(config)
+
+
+# sha256 of repr(maximize_ratio(config)), recorded before the float
+# objective moved onto the prefix-shared subset kernel: the ascent's floats,
+# trace and exact ratio must not move by a bit.
+PINNED_RESULTS = [
+    (SearchConfig(n=8, k=4, seed=0),
+     "df32a0b7f3955d3e76d4c0790dfbb72eac06743121ec5503a901edd9f642c935"),
+    (SearchConfig(n=8, k=4, seed=1),
+     "1ca570fabfd939dba5e4f70ffe93467a04cf3c8bbf5839538fde437afe251c4e"),
+    (SearchConfig(n=8, k=4, seed=2),
+     "b285682e14d14e536519f42ff4e2b55df3ced6ff2281e35afc66336bd167257b"),
+    (SearchConfig(n=5, k=3, start=(0.6, 0.1, 0.1, 0.1, 0.1)),
+     "ed23dd266c2caac8ca02d5ddf40f2c2519c2f65d4be17fbea0033e28a5b231e1"),
+    (SearchConfig(n=6, k=2, seed=7),
+     "e5615fd4f4ab94f75e2f350c1bc2d436d12444f45593f5c88c32d50895d51bb4"),
+    (SearchConfig(n=7, k=5, seed=3),
+     "a92893edc24b67dd153a799d39a8170438829eeed63492c85867b48560dc4116"),
+]
+
+
+@pytest.mark.parametrize("config,digest", PINNED_RESULTS)
+def test_maximize_results_pinned(config, digest):
+    result = maximize_ratio(config)
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == digest
 
 
 def test_maximize_reaches_uniform():

@@ -12,8 +12,8 @@ from symineq.symfun import (
     iterate_k_subsets,
     products_by_sum,
     subset_product,
+    subset_prefixes,
     subset_sum,
-    subset_terms,
 )
 
 entry = st.fractions(min_value=Fraction(1, 100), max_value=100)
@@ -86,12 +86,25 @@ def test_subset_ops_match_direct_arithmetic(v, data):
 
 
 @given(vectors, st.data())
-def test_subset_terms_match_subset_ops(v, data):
-    # the shared kernel against the brute-force oracles, subset by subset
+def test_subset_prefixes_match_subset_ops(v, data):
+    # the shared kernel against the brute-force oracles, subset by subset:
+    # every prefix, completed by each entry from its start on, in order
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
+    products, sums, starts = subset_prefixes(v.entries, k)
+    completed = [(p * a, t + a)
+                 for p, t, s in zip(products, sums, starts) for a in v.entries[s:]]
     expected = [(subset_product(v, s), subset_sum(v, s))
                 for s in iterate_k_subsets(len(v), k)]
-    assert list(subset_terms(v.entries, k)) == expected
+    assert completed == expected
+
+
+def test_subset_prefixes_frozen():
+    # the 2-subsets of (2, 3, 5, 7) that begin 3-subsets, then k = 1 and k = n
+    assert subset_prefixes([2, 3, 5, 7], 3) == ([6, 10, 15], [5, 7, 8], (2, 3, 3))
+    assert subset_prefixes([2, 3, 5], 1) == ([1], [0], (0,))
+    assert subset_prefixes([2, 3, 5], 3) == ([6], [5], (2,))
+    with pytest.raises(ValueError):
+        subset_prefixes([1, 2], 3)
 
 
 # ---- elementary symmetric polynomials ----
