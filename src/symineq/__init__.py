@@ -9,6 +9,7 @@ and maximization harnesses whose verdicts are always re-certified exactly.
 
 from symineq.exact import (
     ExactScalar,
+    InputError,
     PositiveVector,
     ScalarParseError,
     VectorError,
@@ -52,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactScalar",
+    "InputError",
     "PositiveVector",
     "ScalarParseError",
     "VectorError",

@@ -6,8 +6,12 @@ trials through the exact checker), maximize (float ascent of the ratio with
 exact re-certification).
 
 Exit codes: 0 all statements held, 1 usage or input error, 2 an exact
-violation was witnessed. Output is plain text or JSON; both are deterministic
-for a given invocation.
+violation was witnessed. Every exit 1 is one `symineq: error:` line on
+stderr, whether argparse refused the command line or the library raised
+`InputError` for an argument outside a statement's domain. The front end
+checks only what the library cannot know: file I/O, flag syntax, where in
+the input a parse failed, and the n cap. Output is plain text or JSON; both
+are deterministic for a given invocation.
 """
 
 from __future__ import annotations
@@ -17,17 +21,9 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from symineq.exact import (
-    PositiveVector,
-    RenderError,
-    ScalarParseError,
-    VectorError,
-    make_vector,
-    parse_scalar,
-    render_scalar,
-)
+from symineq.exact import InputError, PositiveVector, make_vector, parse_scalar, render_scalar
 from symineq.inequality import (
     InequalityReport,
     Statement,
@@ -56,35 +52,27 @@ _TOKEN_RE = re.compile(r"[^\s,]+")
 _RANGE_RE = re.compile(r"(?P<lo>[0-9]+)(?:\.\.(?P<hi>[0-9]+))?\Z")
 
 
-class CliError(Exception):
-    """Usage or input error; rendered to stderr and mapped to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; this front end reserves 2
-    # for witnessed violations, so usage errors are remapped to 1.
+    # argparse prints its usage text and exits with status 2 on bad usage;
+    # this front end reserves 2 for witnessed violations and refuses every
+    # input with one error line and status 1.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"symineq: error: {message}\n")
 
 
 # ---- input parsing ----
 
-def _parse_tokens(tokens: Sequence[str], where: str) -> PositiveVector:
-    entries = []
-    for tok in tokens:
-        try:
-            entries.append(parse_scalar(tok))
-        except ScalarParseError as exc:
-            raise CliError(f"{where}: {exc}") from exc
+def _located(where: str, parse: Callable, arg):
+    """parse(arg), with `where` put before the message of an InputError."""
     try:
-        return make_vector(entries)
-    except VectorError as exc:
-        raise CliError(f"{where}: {exc}") from exc
+        return parse(arg)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def _parse_values(text: str) -> PositiveVector:
-    return _parse_tokens(_TOKEN_RE.findall(text), "--values")
+    return _located("--values", lambda tokens: make_vector(map(parse_scalar, tokens)),
+                    _TOKEN_RE.findall(text))
 
 
 def _read_vector_file(path: str) -> list[PositiveVector]:
@@ -94,27 +82,18 @@ def _read_vector_file(path: str) -> list[PositiveVector]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     vectors = []
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0]
-        entries = []
-        for match in _TOKEN_RE.finditer(body):
-            try:
-                entries.append(parse_scalar(match.group()))
-            except ScalarParseError as exc:
-                raise CliError(
-                    f"{path}:{lineno}:{match.start() + 1}: {exc}") from exc
-        if not entries:
-            continue
-        try:
-            vectors.append(make_vector(entries))
-        except VectorError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from exc
+        entries = [_located(f"{path}:{lineno}:{match.start() + 1}", parse_scalar, match.group())
+                   for match in _TOKEN_RE.finditer(body)]
+        if entries:
+            vectors.append(_located(f"{path}:{lineno}", make_vector, entries))
     if not vectors:
-        raise CliError(f"{path}: no vectors found")
+        raise InputError(f"{path}: no vectors found")
     return vectors
 
 
@@ -126,7 +105,7 @@ def _input_vectors(args) -> list[PositiveVector]:
 
 def _enforce_cap(n: int, max_n: int) -> None:
     if n > max_n:
-        raise CliError(
+        raise InputError(
             f"n={n} exceeds the cap of {max_n}; pass --max-n {n} to override")
 
 
@@ -171,39 +150,27 @@ def _run_vectors(args) -> int:
 
 
 def _check_reports(args, v: PositiveVector):
-    if args.all_k:
-        ks = range(1, len(v) + 1)
-    elif 1 <= args.k <= len(v):
-        ks = (args.k,)
-    else:
-        raise CliError(f"k={args.k} out of range for n={len(v)}")
-    for k in ks:
+    for k in range(1, len(v) + 1) if args.all_k else (args.k,):
         yield check_main(v, k), None
 
 
 def _lemma_reports(args, v: PositiveVector):
-    if len(v) < 2:
-        raise CliError(f"the {args.which} lemma needs n >= 2, got n={len(v)}")
     checker = (check_reciprocal_lemma if args.which == "reciprocal"
                else check_pairwise_lemma)
     yield checker(v), None
 
 
 def _identity_reports(args, v: PositiveVector):
-    if not 1 <= args.k < len(v):
-        raise CliError(
-            f"the identity needs 1 <= k < n, got k={args.k} n={len(v)}")
     yield check_proof_identity(v, args.k), v.total()
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
     match = _RANGE_RE.fullmatch(text)
     if match is None:
-        raise CliError(f"bad n range {text!r}; expected N or LO..HI")
-    lo = int(match.group("lo"))
-    hi = int(match.group("hi")) if match.group("hi") else lo
-    if not 1 <= lo <= hi:
-        raise CliError(f"bad n range {text!r}; need 1 <= LO <= HI")
+        raise InputError(f"bad n range {text!r}; expected N or LO..HI")
+    # the scalar parser refuses digit runs past the interpreter's int/str limit
+    lo, hi = (_located("--n", parse_scalar, bound).numerator
+              for bound in (match["lo"], match["hi"] or match["lo"]))
     return lo, hi
 
 
@@ -247,24 +214,14 @@ def _run_fuzz(args) -> int:
         k_policy = "interior"
     else:
         k_policy = "all"
-    try:
-        distribution = Distribution(kind=args.distribution, bound=args.max_value,
-                                    epsilon=_parse_epsilon(args.epsilon))
-        report = fuzz(n_range, k_policy, args.trials, distribution, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    distribution = Distribution(kind=args.distribution, bound=args.max_value,
+                                epsilon=_located("--epsilon", parse_scalar, args.epsilon))
+    report = fuzz(n_range, k_policy, args.trials, distribution, args.seed)
     if args.format == "json":
         print(json.dumps(_fuzz_record(report), indent=2))
     else:
         print(_fuzz_text(report))
     return 0 if report.violations == 0 else 2
-
-
-def _parse_epsilon(text: str) -> Fraction:
-    try:
-        return parse_scalar(text)
-    except ScalarParseError as exc:
-        raise CliError(f"--epsilon: {exc}") from exc
 
 
 def _maximize_text(config: SearchConfig, result: SearchResult) -> str:
@@ -299,15 +256,10 @@ def _maximize_record(config: SearchConfig, result: SearchResult) -> dict:
 
 def _run_maximize(args) -> int:
     _enforce_cap(args.n, args.max_n)
-    if not 1 < args.k < args.n:
-        raise CliError(f"maximization needs 1 < k < n, got k={args.k} n={args.n}")
     config = SearchConfig(n=args.n, k=args.k, max_iterations=args.max_iter,
                           step_size=args.step, convergence_tolerance=args.tolerance,
                           seed=args.seed)
-    try:
-        result = maximize_ratio(config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    result = maximize_ratio(config)
     if args.format == "json":
         print(json.dumps(_maximize_record(config, result), indent=2))
     else:
@@ -393,11 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, RenderError) as exc:
+    except InputError as exc:
         print(f"symineq: error: {exc}", file=sys.stderr)
         return 1
     except Violation as exc:

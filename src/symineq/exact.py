@@ -18,6 +18,9 @@ Integers convert to and from text only up to the interpreter's digit limit
 (`sys.get_int_max_str_digits()`, 4300 by default in CPython). Past it a
 literal is refused with ScalarParseError and a value with RenderError; the
 limit itself is left as it is.
+
+Every refusal of an argument in the package is an InputError, a ValueError;
+the three errors of this module are its subclasses.
 """
 
 from __future__ import annotations
@@ -34,15 +37,19 @@ ExactScalar = Fraction
 _SCALAR_RE = re.compile(r"(?P<num>[+-]?[0-9]+)(?:\.(?P<dec>[0-9]+)|/(?P<den>[0-9]+))?\Z")
 
 
-class ScalarParseError(ValueError):
+class InputError(ValueError):
+    """An argument outside a function's domain; the one refusal type of the package."""
+
+
+class ScalarParseError(InputError):
     """Text does not match the scalar grammar, or has a zero denominator."""
 
 
-class VectorError(ValueError):
+class VectorError(InputError):
     """Input vector is empty or has a nonpositive entry."""
 
 
-class RenderError(ValueError):
+class RenderError(InputError):
     """An exact value has more digits than the interpreter converts to text."""
 
 

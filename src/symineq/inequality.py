@@ -16,12 +16,13 @@ Both sides of the main bound and of the identity work on the integer form
 of v: the denominators are cleared once (b = v*L, L their lcm), the sums
 run on ints, and each side builds one Fraction at the end. The left side is
 a subset-sum dynamic program (`symfun.products_by_sum`), not an
-enumeration; its brute-force oracle lives in the tests. The proof identity
-walks its k-subsets through the shared prefix kernel
-(`symfun.subset_prefixes`) but keeps its own enumeration of the
-(k+1)-subsets on the other side, so it stays an independent check. The
-reciprocal lemma uses the same integer form; the pairwise lemma stays a
-literal double loop, the cross-check of the main bound at k = 2.
+enumeration; its brute-force oracle lives in the tests. The k-subset side of
+the proof identity is the same dynamic program, while the other side keeps
+its own enumeration of the (k+1)-subsets, so the identity cross-checks the
+one against the other. The reciprocal lemma uses the same integer form; the
+pairwise lemma stays a literal double loop, the cross-check of the main
+bound at k = 2. An argument outside a statement's domain (k outside 1..n,
+or n < 2 for the lemmas) raises `InputError`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from symineq.exact import PositiveVector, render_scalar
-from symineq.symfun import check_k, elementary_symmetric, products_by_sum, subset_prefixes
+from symineq.exact import InputError, PositiveVector, render_scalar
+from symineq.symfun import check_k, elementary_symmetric, products_by_sum
 
 
 class Statement(Enum):
@@ -192,7 +193,7 @@ def check_reciprocal_lemma(v: PositiveVector) -> InequalityReport:
     """
     n = len(v)
     if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
+        raise InputError(f"the reciprocal lemma needs n >= 2, got n={n}")
     # On the integer form b = v*L with B = sum(b): (n-1)/(sum(v) - a_j) is
     # (n-1)*L/(B - b_j) and 1/a_i is L/b_i. Equal denominators are grouped.
     ints, scale = _integer_form(v)
@@ -215,7 +216,7 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
     """
     n = len(v)
     if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
+        raise InputError(f"the pairwise lemma needs n >= 2, got n={n}")
     a = v.entries
     lhs = Fraction(0)
     pair_products = Fraction(0)
@@ -242,22 +243,16 @@ def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
     With b the integer form of v and B = sum(b), w = b/B, so
     left  = k * sum_T prod(b_T) * (B - sum(b_T)) / sum(b_T) / B^k and
     right = k * sum_{S, T} prod(b_S) / sum(b_T) / B^k. Each side groups its
-    numerators by sum(b_T). left enumerates k-subsets, right enumerates
-    (k+1)-subsets and their k-sub-subsets (S less one entry); the contract
-    is left == right exactly.
+    numerators by sum(b_T). left is the `products_by_sum` dynamic program,
+    right enumerates (k+1)-subsets and their k-sub-subsets (S less one
+    entry); the contract is left == right exactly.
     """
     n = len(v)
     if not 0 < k < n:
-        raise ValueError(f"k must satisfy 0 < k < n, got k={k} n={n}")
+        raise InputError(f"the identity needs 0 < k < n, got k={k} n={n}")
     b, _ = _integer_form(v)
     total = sum(b)
-
-    left: dict[int, int] = {}
-    products, sums, starts = subset_prefixes(b, k)
-    for p, t, s in zip(products, sums, starts):
-        for a in b[s:]:
-            tot = t + a
-            left[tot] = left.get(tot, 0) + p * a * (total - tot)
+    left = {s: p * (total - s) for s, p in products_by_sum(b, k).items()}
 
     right: dict[int, int] = {}
     for s in combinations(b, k + 1):

@@ -7,8 +7,9 @@ ascending the (float) ratio of the two sides toward the uniform point and
 then re-certifying the final iterate exactly.
 
 This is the only module that touches floating point. The float objective
-uses the same number-generic kernels as the exact checkers (`symineq.symfun`),
-and the ascent works on plain lists.
+shares `elementary_symmetric` with the exact checkers and has the prefix
+kernel `subset_prefixes` to itself (`symineq.symfun`); the ascent works on
+plain lists. Bad arguments to either harness raise `InputError`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from symineq.exact import PositiveVector, make_vector, render_scalar
+from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
 from symineq.inequality import Statement, Violation, check_main, lhs_main, rhs_main
 from symineq.symfun import elementary_symmetric, subset_prefixes
 
@@ -56,11 +57,11 @@ class Distribution:
 
     def __post_init__(self):
         if self.kind not in ("integers", "rationals", "near-uniform"):
-            raise ValueError(f"unknown distribution {self.kind!r}")
+            raise InputError(f"unknown distribution {self.kind!r}")
         if self.bound < 1:
-            raise ValueError("bound must be >= 1")
+            raise InputError("bound must be >= 1")
         if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
+            raise InputError("epsilon must lie in (0, 1)")
 
     def describe(self) -> str:
         if self.kind == "integers":
@@ -112,19 +113,19 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:
-        raise ValueError(f"bad n range {lo}..{hi}")
+        raise InputError(f"bad n range {lo}..{hi}; need 1 <= LO <= HI")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials must be >= 1")
     if isinstance(k_policy, int):
         if k_policy < 1:
-            raise ValueError("k must be >= 1")
+            raise InputError("k must be >= 1")
         lo = max(lo, k_policy)
     elif k_policy == "interior":
         lo = max(lo, 3)
     elif k_policy != "all":
-        raise ValueError(f"unknown k policy {k_policy!r}")
+        raise InputError(f"unknown k policy {k_policy!r}")
     if lo > hi:
-        raise ValueError(f"no n in {n_range[0]}..{hi} admits k={k_policy}")
+        raise InputError(f"no n in {n_range[0]}..{hi} admits k={k_policy}")
 
     rng = random.Random(seed)
     checks = 0
@@ -248,18 +249,18 @@ def maximize_ratio(config: SearchConfig) -> SearchResult:
     """
     n, k = config.n, config.k
     if not 1 < k < n:
-        raise ValueError(f"maximization needs 1 < k < n, got k={k} n={n}")
+        raise InputError(f"maximization needs 1 < k < n, got k={k} n={n}")
     if not all(math.isfinite(t) and t > 0
                for t in (config.step_size, config.convergence_tolerance)):
-        raise ValueError("step_size and convergence_tolerance must be finite and positive")
+        raise InputError("step_size and convergence_tolerance must be finite and positive")
     if config.max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+        raise InputError("max_iterations must be >= 1")
 
     if config.start is not None:
         if len(config.start) != n:
-            raise ValueError(f"start point has length {len(config.start)}, expected {n}")
+            raise InputError(f"start point has length {len(config.start)}, expected {n}")
         if any(not xi > 0 for xi in config.start):
-            raise ValueError("start point must be strictly positive")
+            raise InputError("start point must be strictly positive")
         x = project_simplex(config.start)
     else:
         rng = random.Random(config.seed)

@@ -3,18 +3,18 @@ elementary symmetric polynomials.
 
 Subsets are canonical strictly-increasing index tuples, emitted in
 lexicographic order (the deterministic contract every checker and golden
-transcript relies on). There are three kernels. `subset_prefixes` builds
-the products and sums of the (k-1)-subsets level by level, so a prefix that
-many k-subsets share is folded once; a caller completes each prefix with
-the entries after it. `elementary_symmetric` is a row dynamic program. Both
-are generic over the number type, so the exact checkers, which pass the
-integers of a vector with its denominators cleared, and the float objective
-share them; on floats `subset_prefixes` gives every product and sum bit for
-bit as a left-to-right fold over the subset would. `products_by_sum` is the
-`elementary_symmetric` recurrence on integers with every row keyed by
-subset sum, which the exact left side of the main bound is built on.
-Brute-force enumeration through `iterate_k_subsets` and the subset ops
-stays available as their independent oracle.
+transcript relies on). There are three kernels. `elementary_symmetric` is
+a row dynamic program, generic over the number type, so the exact checkers,
+which pass the integers of a vector with its denominators cleared, and the
+float objective share it. `products_by_sum` is the same recurrence on
+integers with every row keyed by subset sum; the exact left side of the
+main bound and the k-subset side of the proof identity are built on it.
+`subset_prefixes` builds the products and sums of the (k-1)-subsets level
+by level, so a prefix that many k-subsets share is folded once, and serves
+the float objective only: it gives every product and sum bit for bit as a
+left-to-right fold over the subset would. Brute-force enumeration through
+`iterate_k_subsets` and the subset ops stays available as their
+independent oracle. Every argument check raises `InputError`.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from symineq.exact import PositiveVector
+from symineq.exact import InputError, PositiveVector
 
 SubsetIndex = tuple[int, ...]
 
 
 def check_k(k: int, n: int) -> None:
-    """Raise ValueError unless 0 < k <= n."""
+    """Raise InputError unless 0 < k <= n."""
     if not 0 < k <= n:
-        raise ValueError(f"k must satisfy 0 < k <= n, got k={k} n={n}")
+        raise InputError(f"k must satisfy 0 < k <= n, got k={k} n={n}")
 
 
 def iterate_k_subsets(n: int, k: int) -> Iterator[SubsetIndex]:
@@ -41,9 +41,10 @@ def iterate_k_subsets(n: int, k: int) -> Iterator[SubsetIndex]:
     return iter(combinations(range(n), k))
 
 
-# Bounded, with room for every k of several short vectors in one process
-# (1 <= k < n for n = 2..8 is 28 plans). At n = 20 the plans of all k
-# together hold about 33 MB, the largest (k = 11) about 6 MB.
+# Bounded. The float objective needs one plan per (n, k): a maximize run
+# uses one, and a process that runs many searches keeps the 32 most recent.
+# At n = 20 the plans of all k together hold about 33 MB, the largest
+# (k = 11) about 6 MB.
 @lru_cache(maxsize=32)
 def _prefix_plan(n: int, k: int) -> tuple[tuple, tuple[int, ...]]:
     """The index plan of `subset_prefixes` for n entries and subset size k.
@@ -86,11 +87,11 @@ def subset_prefixes(entries: Sequence, k: int) -> tuple[list, list, tuple[int, .
 
 def _validate_subset(v: PositiveVector, s: SubsetIndex) -> None:
     if not 1 <= len(s) <= len(v):
-        raise ValueError(f"subset cardinality must be in 1..{len(v)}, got {len(s)}")
+        raise InputError(f"subset cardinality must be in 1..{len(v)}, got {len(s)}")
     prev = -1
     for i in s:
         if not prev < i < len(v):
-            raise ValueError(f"invalid subset index {i} for n={len(v)}")
+            raise InputError(f"invalid subset index {i} for n={len(v)}")
         prev = i
 
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import symineq
 from symineq.exact import (
+    InputError,
     PositiveVector,
     RenderError,
     ScalarParseError,
@@ -130,6 +132,13 @@ def test_make_vector_rejects_nonpositive_with_index():
 def test_make_vector_rejects_floats():
     with pytest.raises(TypeError):
         make_vector([1.5, 2])
+
+
+def test_refusals_share_one_value_error_type():
+    assert symineq.InputError is InputError
+    assert issubclass(InputError, ValueError)
+    for error in (ScalarParseError, VectorError, RenderError):
+        assert issubclass(error, InputError)
 
 
 def test_vector_is_immutable():

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symineq.exact import make_vector, parse_scalar
+from symineq.exact import InputError, make_vector, parse_scalar
 from symineq.inequality import (
     EqualityClass,
     InequalityReport,
@@ -143,7 +143,7 @@ def test_sides_are_homogeneous_of_degree_k_minus_1(v, scale, data):
 
 @pytest.mark.parametrize("k", [0, 4, -1])
 def test_main_rejects_bad_k(k):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         check_main(make_vector([1, 2, 3]), k)
 
 
@@ -187,7 +187,7 @@ def test_reciprocal_is_equality_at_uniform(v):
 
 
 def test_reciprocal_needs_two_entries():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         check_reciprocal_lemma(make_vector([3]))
 
 
@@ -220,7 +220,7 @@ def test_pairwise_two_entries_is_the_top_boundary():
 
 
 def test_pairwise_needs_two_entries():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         check_pairwise_lemma(make_vector([3]))
 
 
@@ -267,9 +267,9 @@ def test_identity_is_scale_invariant(v, scale, data):
 
 def test_identity_rejects_boundary_k():
     v = make_vector([1, 2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         proof_identity(v, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         proof_identity(v, 3)
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symineq.exact import make_vector
+from symineq.exact import InputError, make_vector
 from symineq.inequality import Statement, Violation
 from symineq.search import (
     SIMPLEX_FLOOR,
@@ -63,13 +63,13 @@ def test_distribution_describe_strings_frozen():
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Distribution("gaussian")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Distribution("integers", bound=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Distribution("near-uniform", epsilon=Fraction(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Distribution("near-uniform", epsilon=Fraction(0))
 
 
@@ -174,19 +174,19 @@ def test_fuzz_near_uniform_small_slack():
 
 def test_fuzz_policy_validation():
     dist = Distribution("integers")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         fuzz((0, 4), "all", 10, dist, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         fuzz((4, 2), "all", 10, dist, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         fuzz((2, 4), 0, 10, dist, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         fuzz((2, 4), 5, 10, dist, seed=0)  # no n in range admits k=5
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         fuzz((2, 2), "interior", 10, dist, seed=0)  # interior needs n >= 3
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         fuzz((2, 4), "weird", 10, dist, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         fuzz((2, 4), "all", 0, dist, seed=0)
 
 
@@ -373,17 +373,17 @@ def test_maximize_budget_exhaustion_is_not_convergence():
 
 
 def test_maximize_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         maximize_ratio(SearchConfig(n=4, k=1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         maximize_ratio(SearchConfig(n=4, k=4))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         maximize_ratio(SearchConfig(n=4, k=2, step_size=0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         maximize_ratio(SearchConfig(n=4, k=2, convergence_tolerance=-1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         maximize_ratio(SearchConfig(n=4, k=2, max_iterations=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         maximize_ratio(SearchConfig(n=4, k=2, start=(0.5, 0.5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         maximize_ratio(SearchConfig(n=4, k=2, start=(0.5, 0.5, -0.5, 0.5)))

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from symineq.exact import make_vector
+from symineq.exact import InputError, make_vector
 from symineq.symfun import (
     elementary_symmetric,
     iterate_k_subsets,
@@ -49,7 +49,7 @@ def test_subset_count_and_order(n, data):
 
 @pytest.mark.parametrize("n,k", [(3, 0), (3, 4), (0, 1), (5, -1)])
 def test_subset_enumeration_rejects_bad_sizes(n, k):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         iterate_k_subsets(n, k)
 
 
@@ -65,13 +65,13 @@ def test_subset_sum_and_product_known_values():
 
 def test_subset_ops_reject_bad_indices():
     v = make_vector([1, 2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         subset_sum(v, (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         subset_product(v, (2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         subset_sum(v, (0, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         subset_product(v, ())
 
 
@@ -103,7 +103,7 @@ def test_subset_prefixes_frozen():
     assert subset_prefixes([2, 3, 5, 7], 3) == ([6, 10, 15], [5, 7, 8], (2, 3, 3))
     assert subset_prefixes([2, 3, 5], 1) == ([1], [0], (0,))
     assert subset_prefixes([2, 3, 5], 3) == ([6], [5], (2,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         subset_prefixes([1, 2], 3)
 
 
@@ -133,9 +133,9 @@ def test_ek_of_all_ones_is_binomial():
 
 def test_ek_rejects_bad_k():
     v = make_vector([1, 2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         elementary_symmetric(v, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         elementary_symmetric(v, 4)
 
 
@@ -186,5 +186,5 @@ def test_products_by_sum_frozen():
     # 2-subsets of (1, 2, 3, 4): sums 3, 4, 5, 5, 6, 7
     assert products_by_sum([1, 2, 3, 4], 2) == {3: 2, 4: 3, 5: 4 + 6, 6: 8, 7: 12}
     assert products_by_sum([5], 1) == {5: 5}
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         products_by_sum([1, 2], 3)
