@@ -8,7 +8,6 @@ and maximization harnesses whose verdicts are always re-certified exactly.
 """
 
 from symineq.exact import (
-    ExactScalar,
     InputError,
     PositiveVector,
     ScalarParseError,
@@ -17,14 +16,8 @@ from symineq.exact import (
     parse_scalar,
     render_scalar,
 )
-from symineq.symfun import (
-    elementary_symmetric,
-    iterate_k_subsets,
-    subset_product,
-    subset_sum,
-)
+from symineq.symfun import elementary_symmetric
 from symineq.inequality import (
-    EqualityClass,
     InequalityReport,
     Statement,
     Violation,
@@ -32,10 +25,8 @@ from symineq.inequality import (
     check_pairwise_lemma,
     check_proof_identity,
     check_reciprocal_lemma,
-    classify_equality,
     lhs_main,
     proof_identity,
-    report_from_record,
     report_to_record,
     rhs_main,
 )
@@ -52,7 +43,6 @@ from symineq.search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactScalar",
     "InputError",
     "PositiveVector",
     "ScalarParseError",
@@ -61,10 +51,6 @@ __all__ = [
     "parse_scalar",
     "render_scalar",
     "elementary_symmetric",
-    "iterate_k_subsets",
-    "subset_product",
-    "subset_sum",
-    "EqualityClass",
     "InequalityReport",
     "Statement",
     "Violation",
@@ -72,10 +58,8 @@ __all__ = [
     "check_pairwise_lemma",
     "check_proof_identity",
     "check_reciprocal_lemma",
-    "classify_equality",
     "lhs_main",
     "proof_identity",
-    "report_from_record",
     "report_to_record",
     "rhs_main",
     "Distribution",

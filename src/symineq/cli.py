@@ -50,6 +50,14 @@ DEFAULT_MAX_N = 20
 
 _TOKEN_RE = re.compile(r"[^\s,]+")
 _RANGE_RE = re.compile(r"(?P<lo>[0-9]+)(?:\.\.(?P<hi>[0-9]+))?\Z")
+# every character that str.splitlines breaks at, to its escape sequence
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _error_line(message: str) -> str:
+    """The one stderr line of a refusal; a line break in the message, as a
+    file name may hold, is printed as its escape sequence."""
+    return f"symineq: error: {message.translate(_LINE_BREAKS)}\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
     # this front end reserves 2 for witnessed violations and refuses every
     # input with one error line and status 1.
     def error(self, message):
-        self.exit(1, f"symineq: error: {message}\n")
+        self.exit(1, _error_line(message))
 
 
 # ---- input parsing ----
@@ -349,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except InputError as exc:
-        print(f"symineq: error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(exc)))
         return 1
     except Violation as exc:
         print(f"symineq: exact violation witnessed: {exc}", file=sys.stderr)

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-ExactScalar = Fraction
-
 _SCALAR_RE = re.compile(r"(?P<num>[+-]?[0-9]+)(?:\.(?P<dec>[0-9]+)|/(?P<den>[0-9]+))?\Z")
 
 
@@ -105,10 +103,6 @@ class PositiveVector:
     """An ordered multiset of strictly positive exact rationals (repeats kept)."""
 
     entries: tuple[Fraction, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
     def total(self) -> Fraction:
         return sum(self.entries, Fraction(0))

@@ -6,7 +6,8 @@ for the product and sum(a_S) for the sum over S. Then
     sum_{|S|=k} prod(a_S)/sum(a_S)  <=  (n/k) * e_k(a) / (a_1+...+a_n)
 
 with equality for k = 1 and k = n identically, and exactly at uniform
-vectors for 1 < k < n. Supporting checks: the reciprocal bound
+vectors for 1 < k < n; a report's `is_equality` flag is that locus, read
+off the exact slack. Supporting checks: the reciprocal bound
 (sum 1/a_i >= sum of reciprocals of the (n-1)-wise averages), the pairwise
 product bound (the k = 2 case written as a direct double sum), and the
 rearrangement identity behind the proof. All arithmetic is exact; a
@@ -34,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from symineq.exact import InputError, PositiveVector, render_scalar
-from symineq.symfun import check_k, elementary_symmetric, products_by_sum
+from symineq.symfun import elementary_symmetric, products_by_sum
 
 
 class Statement(Enum):
@@ -42,12 +43,6 @@ class Statement(Enum):
     RECIPROCAL_LEMMA = "ReciprocalLemma"
     PAIRWISE_LEMMA = "PairwiseLemma"
     PROOF_IDENTITY = "ProofIdentity"
-
-
-class EqualityClass(Enum):
-    BOUNDARY_ALWAYS_EQUAL = "BoundaryAlwaysEqual"
-    UNIFORM_EQUAL = "UniformEqual"
-    STRICT = "Strict"
 
 
 class Violation(Exception):
@@ -89,20 +84,6 @@ def report_to_record(report: InequalityReport) -> dict:
         "slack": render_scalar(report.slack),
         "is_equality": report.is_equality,
     }
-
-
-def report_from_record(record: dict) -> InequalityReport:
-    from symineq.exact import parse_scalar
-
-    return InequalityReport(
-        n=int(record["n"]),
-        k=int(record["k"]),
-        statement=Statement(record["statement"]),
-        lhs=parse_scalar(record["lhs"]),
-        rhs=parse_scalar(record["rhs"]),
-        slack=parse_scalar(record["slack"]),
-        is_equality=bool(record["is_equality"]),
-    )
 
 
 def _report(statement: Statement, v: PositiveVector, k: int,
@@ -151,7 +132,7 @@ def _sum_over_sums(by_sum: dict[int, int], scale: int) -> Fraction:
 
 
 def lhs_main(v: PositiveVector, k: int) -> Fraction:
-    """Sum over all k-subsets of subset_product / subset_sum, exactly.
+    """Sum over all k-subsets S of prod(a_S) / sum(a_S), exactly.
 
     A subset enters only through its product and its sum, so subsets that
     share a sum are added before the one division. On the integer form
@@ -229,7 +210,7 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
 
 
 # --------------------------------------------------------------------------
-# Proof identity and equality classification
+# Proof identity
 # --------------------------------------------------------------------------
 
 def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
@@ -271,17 +252,3 @@ def check_proof_identity(v: PositiveVector, k: int) -> InequalityReport:
         raise Violation(Statement.PROOF_IDENTITY, v, k, left, right)
     return _report(Statement.PROOF_IDENTITY, v, k, left, right)
 
-
-def classify_equality(v: PositiveVector, k: int) -> EqualityClass:
-    """Where this (v, k) sits on the equality locus of the main bound.
-
-    Boundary k (1 or n) is an identity for every vector; interior k is an
-    equality exactly for uniform vectors. Agrees with check_main's
-    is_equality flag in every case.
-    """
-    check_k(k, len(v))
-    if k == 1 or k == len(v):
-        return EqualityClass.BOUNDARY_ALWAYS_EQUAL
-    if all(a == v[0] for a in v):
-        return EqualityClass.UNIFORM_EQUAL
-    return EqualityClass.STRICT

@@ -27,6 +27,7 @@ from symineq.symfun import elementary_symmetric, subset_prefixes
 # Coordinates never drop below this during projection: the bound's domain is
 # strictly positive vectors, and float subset sums must stay away from 0.
 SIMPLEX_FLOOR = 1e-9
+GRADIENT_STEP = 1e-6  # the central-difference step of the ascent's gradient
 
 KPolicy = Union[int, str]  # a single k, "all", or "interior" (boundary excluded)
 
@@ -116,13 +117,16 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
         raise InputError(f"bad n range {lo}..{hi}; need 1 <= LO <= HI")
     if trials < 1:
         raise InputError("trials must be >= 1")
+    # the smallest admissible n, and the ks to check at each n
     if isinstance(k_policy, int):
         if k_policy < 1:
             raise InputError("k must be >= 1")
-        lo = max(lo, k_policy)
+        lo, ks_at = max(lo, k_policy), lambda n: (k_policy,)
     elif k_policy == "interior":
-        lo = max(lo, 3)
-    elif k_policy != "all":
+        lo, ks_at = max(lo, 3), lambda n: range(2, n)
+    elif k_policy == "all":
+        ks_at = lambda n: range(1, n + 1)
+    else:
         raise InputError(f"unknown k policy {k_policy!r}")
     if lo > hi:
         raise InputError(f"no n in {n_range[0]}..{hi} admits k={k_policy}")
@@ -135,13 +139,7 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     for _ in range(trials):
         n = rng.randint(lo, hi)
         v = distribution.sample(rng, n)
-        if isinstance(k_policy, int):
-            ks: Sequence[int] = (k_policy,)
-        elif k_policy == "all":
-            ks = range(1, n + 1)
-        else:
-            ks = range(2, n)
-        for k in ks:
+        for k in ks_at(n):
             checks += 1
             try:
                 slack = check_main(v, k).slack
@@ -202,15 +200,15 @@ def ratio_float(x: Sequence[float], k: int) -> float:
     return lhs / rhs
 
 
-def project_simplex(x: Sequence[float], floor: float = SIMPLEX_FLOOR) -> list[float]:
-    """Euclidean projection onto {y : y_i >= floor, sum(y) = 1}.
+def project_simplex(x: Sequence[float]) -> list[float]:
+    """Euclidean projection onto {y : y_i >= SIMPLEX_FLOOR, sum(y) = 1}.
 
     Sort-based exact projection of the floor-shifted point onto the scaled
-    simplex of mass 1 - n*floor (Duchi et al., ICML 2008): theta comes from
-    the last j, in descending order, with u_j + (mass - css_j)/j > 0.
+    simplex of mass 1 - n*SIMPLEX_FLOOR (Duchi et al., ICML 2008): theta
+    comes from the last j, in descending order, with u_j + (mass - css_j)/j > 0.
     """
-    mass = 1.0 - len(x) * floor
-    z = [xi - floor for xi in x]
+    mass = 1.0 - len(x) * SIMPLEX_FLOOR
+    z = [xi - SIMPLEX_FLOOR for xi in x]
     # j = 1 always qualifies in exact arithmetic; rounding loses it only on
     # non-finite or huge entries, where NaN marks the result unusable (the
     # ascent rejects a NaN objective and halves its step).
@@ -220,14 +218,14 @@ def project_simplex(x: Sequence[float], floor: float = SIMPLEX_FLOOR) -> list[fl
         css += u
         if u + (mass - css) / j > 0:
             theta = (mass - css) / j
-    return [max(zi + theta, 0.0) + floor for zi in z]
+    return [max(zi + theta, 0.0) + SIMPLEX_FLOOR for zi in z]
 
 
-def finite_difference_gradient(x: Sequence[float], k: int, h: float = 1e-6) -> list[float]:
+def finite_difference_gradient(x: Sequence[float], k: int) -> list[float]:
     """Central finite-difference gradient of ratio_float at x."""
     g = []
     for i, xi in enumerate(x):
-        hi = min(h, 0.5 * xi)  # keep the perturbed point positive
+        hi = min(GRADIENT_STEP, 0.5 * xi)  # keep the perturbed point positive
         xp = list(x)
         xp[i] = xi + hi
         xm = list(x)

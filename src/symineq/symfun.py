@@ -1,7 +1,7 @@
-"""Combinatorial kernels: k-subset enumeration, subset sums/products, and
-elementary symmetric polynomials.
+"""Combinatorial kernels: elementary symmetric polynomials, products grouped
+by subset sum, and shared subset prefixes.
 
-Subsets are canonical strictly-increasing index tuples, emitted in
+Subsets are canonical strictly-increasing index tuples, taken in
 lexicographic order (the deterministic contract every checker and golden
 transcript relies on). There are three kernels. `elementary_symmetric` is
 a row dynamic program, generic over the number type, so the exact checkers,
@@ -12,33 +12,23 @@ main bound and the k-subset side of the proof identity are built on it.
 `subset_prefixes` builds the products and sums of the (k-1)-subsets level
 by level, so a prefix that many k-subsets share is folded once, and serves
 the float objective only: it gives every product and sum bit for bit as a
-left-to-right fold over the subset would. Brute-force enumeration through
-`iterate_k_subsets` and the subset ops stays available as their
-independent oracle. Every argument check raises `InputError`.
+left-to-right fold over the subset would. Their brute-force oracles, which
+enumerate every subset, live in the tests. Every argument check raises
+`InputError`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from symineq.exact import InputError, PositiveVector
-
-SubsetIndex = tuple[int, ...]
+from symineq.exact import InputError
 
 
 def check_k(k: int, n: int) -> None:
     """Raise InputError unless 0 < k <= n."""
     if not 0 < k <= n:
         raise InputError(f"k must satisfy 0 < k <= n, got k={k} n={n}")
-
-
-def iterate_k_subsets(n: int, k: int) -> Iterator[SubsetIndex]:
-    """Yield all C(n, k) k-subsets of range(n) in lexicographic order."""
-    check_k(k, n)
-    return iter(combinations(range(n), k))
 
 
 # Bounded. The float objective needs one plan per (n, k): a maximize run
@@ -83,31 +73,6 @@ def subset_prefixes(entries: Sequence, k: int) -> tuple[list, list, tuple[int, .
         products = [products[q] * a for q, a in zip(parents, added)]
         sums = [sums[q] + a for q, a in zip(parents, added)]
     return products, sums, starts
-
-
-def _validate_subset(v: PositiveVector, s: SubsetIndex) -> None:
-    if not 1 <= len(s) <= len(v):
-        raise InputError(f"subset cardinality must be in 1..{len(v)}, got {len(s)}")
-    prev = -1
-    for i in s:
-        if not prev < i < len(v):
-            raise InputError(f"invalid subset index {i} for n={len(v)}")
-        prev = i
-
-
-def subset_sum(v: PositiveVector, s: SubsetIndex) -> Fraction:
-    """Exact sum of the entries of v selected by s."""
-    _validate_subset(v, s)
-    return sum((v[i] for i in s), Fraction(0))
-
-
-def subset_product(v: PositiveVector, s: SubsetIndex) -> Fraction:
-    """Exact product of the entries of v selected by s."""
-    _validate_subset(v, s)
-    out = Fraction(1)
-    for i in s:
-        out *= v[i]
-    return out
 
 
 def elementary_symmetric(v: Sequence, k: int):

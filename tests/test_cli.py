@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -11,11 +12,13 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import symineq
 from symineq.cli import main
 from symineq.exact import make_vector
-from symineq.inequality import Statement, Violation, check_main, report_from_record
+from symineq.inequality import Statement, Violation, check_main, report_to_record
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(*args):
@@ -45,6 +48,28 @@ def test_fuzz_golden():
     assert "violations: 0" in result.stdout
 
 
+def readme_examples():
+    """(argv, stdout) of every `$ symineq ...` example in README.md: the
+    command line, then its output up to the next blank line."""
+    examples = []
+    for block in README.read_text().split("```")[1::2]:
+        for example in block.split("\n\n"):
+            command, _, output = example.strip("\n").partition("\n")
+            if command.startswith("$ symineq "):
+                examples.append((shlex.split(command)[2:], output + "\n"))
+    return examples
+
+
+def test_readme_examples_match_the_cli():
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == \
+        ["check", "check", "lemma", "identity", "fuzz", "maximize"]
+    for argv, stdout in examples:
+        result = run_cli(*argv)
+        assert result.returncode == 0, argv
+        assert result.stdout.encode() == stdout.encode(), argv
+
+
 def test_fuzz_runs_are_byte_identical():
     args = ("fuzz", "--n", "2..6", "--trials", "300", "--seed", "42")
     first = run_cli(*args)
@@ -59,8 +84,7 @@ def test_json_reports_roundtrip_through_records():
     result = run_cli("check", "--values", "4,5/2,1/2", "--all-k", "--format", "json")
     records = json.loads(result.stdout)
     v = make_vector([4, Fraction(5, 2), Fraction(1, 2)])
-    assert [report_from_record(r) for r in records] == \
-        [check_main(v, k) for k in (1, 2, 3)]
+    assert records == [report_to_record(check_main(v, k)) for k in (1, 2, 3)]
 
 
 def test_exact_commands_emit_no_float_decimals():
@@ -191,6 +215,9 @@ def test_usage_errors_exit_1():
 def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(b"1 2 \xff\n")
+    # a line break in a file name is escaped, not printed
+    bad_token = tmp_path / "bad\nname.txt"
+    bad_token.write_text("1 2\n3 oops 4\n")
     # ten 6-digit rationals: the exact lhs at k=5 has about 6,300 digits,
     # past the interpreter's 4,300-digit int/str limit
     wide = ("123457/654321 234567/765432 345679/876543 456781/987654 "
@@ -203,6 +230,8 @@ def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
         ("check", "--values", wide, "--k", "5", "--format", "json"),
         ("fuzz", "--n", "9" * 5000),
         ("fuzz", "--n", "1.." + "9" * 5000),
+        ("check", "--file", str(tmp_path / "no\nsuch"), "--k", "1"),
+        ("check", "--file", str(bad_token), "--k", "1"),
     ]
     results = [run_cli(*args) for args in cases]
     for args, result in zip(cases, results):
@@ -211,6 +240,8 @@ def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
         assert result.stderr.count("\n") == 1, result.stderr
         assert "Traceback" not in result.stderr
     assert str(not_utf8) in results[0].stderr
+    assert "no\\nsuch: [Errno 2]" in results[-2].stderr
+    assert "bad\\nname.txt:2:3: malformed scalar 'oops'" in results[-1].stderr
 
 
 value_text = st.lists(st.text(alphabet="0123456789/.-,x ", min_size=1, max_size=6),
@@ -402,10 +433,24 @@ def test_fuzz_with_violations_exits_2(monkeypatch, capsys):
     assert "min slack: -1" in captured.out
 
 
-# ---- dependencies ----
+# ---- dependencies and public names ----
 
 def test_import_leaves_numpy_out():
     # the package has no runtime dependencies; this keeps numpy from creeping back
     probe = "import sys, symineq, symineq.cli; print('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.stdout == "False\n", result.stderr
+
+
+def test_public_names_are_pinned():
+    # the package exports what callers outside the tests use; the
+    # brute-force oracles live in the tests
+    assert sorted(symineq.__all__) == [
+        "Distribution", "FuzzReport", "InequalityReport", "InputError", "PositiveVector",
+        "ScalarParseError", "SearchConfig", "SearchResult", "Statement", "VectorError",
+        "Violation", "__version__", "check_main", "check_pairwise_lemma",
+        "check_proof_identity", "check_reciprocal_lemma", "elementary_symmetric", "fuzz",
+        "lhs_main", "make_vector", "maximize_ratio", "parse_scalar", "proof_identity",
+        "ratio", "render_scalar", "report_to_record", "rhs_main"]
+    for name in symineq.__all__:
+        assert hasattr(symineq, name), name

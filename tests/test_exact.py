@@ -106,7 +106,6 @@ def test_parse_decimal_matches_power_of_ten_ratio(whole, frac, places):
 def test_make_vector_accepts_ints_and_fractions():
     v = make_vector([1, Fraction(5, 2), 3])
     assert v.entries == (Fraction(1), Fraction(5, 2), Fraction(3))
-    assert v.n == 3
     assert len(v) == 3
     assert v[1] == Fraction(5, 2)
     assert list(v) == [Fraction(1), Fraction(5, 2), Fraction(3)]

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from symineq.exact import InputError, make_vector, parse_scalar
 from symineq.inequality import (
-    EqualityClass,
     InequalityReport,
     Statement,
     Violation,
@@ -15,10 +14,8 @@ from symineq.inequality import (
     check_pairwise_lemma,
     check_proof_identity,
     check_reciprocal_lemma,
-    classify_equality,
     lhs_main,
     proof_identity,
-    report_from_record,
     report_to_record,
     rhs_main,
 )
@@ -282,28 +279,6 @@ def test_check_identity_reports_equality(v, data):
     assert report.statement is Statement.PROOF_IDENTITY
 
 
-# ---- equality classification ----
-
-@given(vectors, st.data())
-def test_classification_agrees_with_slack(v, data):
-    k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    cls = classify_equality(v, k)
-    report = check_main(v, k)
-    if cls is EqualityClass.STRICT:
-        assert not report.is_equality
-    else:
-        assert report.is_equality
-    if k in (1, len(v)):
-        assert cls is EqualityClass.BOUNDARY_ALWAYS_EQUAL
-
-
-def test_classification_cases():
-    assert classify_equality(make_vector([1, 2, 3]), 1) is EqualityClass.BOUNDARY_ALWAYS_EQUAL
-    assert classify_equality(make_vector([1, 2, 3]), 3) is EqualityClass.BOUNDARY_ALWAYS_EQUAL
-    assert classify_equality(make_vector([4, 4, 4]), 2) is EqualityClass.UNIFORM_EQUAL
-    assert classify_equality(make_vector([1, 2, 3]), 2) is EqualityClass.STRICT
-
-
 # ---- reports, records, violations ----
 
 def test_record_field_order_is_stable():
@@ -319,7 +294,11 @@ def test_record_field_order_is_stable():
 def test_record_roundtrip(v, data):
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
     report = check_main(v, k)
-    assert report_from_record(report_to_record(report)) == report
+    record = report_to_record(report)
+    assert [parse_scalar(record[side]) for side in ("lhs", "rhs", "slack")] == \
+        [report.lhs, report.rhs, report.slack]
+    assert (record["n"], record["k"], record["statement"], record["is_equality"]) == \
+        (report.n, report.k, report.statement.value, report.is_equality)
 
 
 def test_violation_carries_witness_and_message():

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symineq.exact import InputError, make_vector
-from symineq.symfun import (
-    elementary_symmetric,
-    iterate_k_subsets,
-    products_by_sum,
-    subset_product,
-    subset_prefixes,
-    subset_sum,
-)
+from symineq.symfun import elementary_symmetric, products_by_sum, subset_prefixes
 
 entry = st.fractions(min_value=Fraction(1, 100), max_value=100)
 vectors = st.lists(entry, min_size=1, max_size=8).map(make_vector)
@@ -25,76 +18,17 @@ def ek_brute(v, k):
     return sum(math.prod(v[i] for i in s) for s in combinations(range(len(v)), k))
 
 
-# ---- subset enumeration ----
-
-def test_subsets_lexicographic_order_frozen():
-    assert list(iterate_k_subsets(4, 2)) == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert list(iterate_k_subsets(3, 3)) == [(0, 1, 2)]
-    assert list(iterate_k_subsets(3, 1)) == [(0,), (1,), (2,)]
-
-
-@given(st.integers(min_value=1, max_value=10), st.data())
-def test_subset_count_and_order(n, data):
-    k = data.draw(st.integers(min_value=1, max_value=n))
-    subsets = list(iterate_k_subsets(n, k))
-    assert len(subsets) == math.comb(n, k)
-    assert subsets == sorted(subsets)
-    assert len(set(subsets)) == len(subsets)
-    for s in subsets:
-        assert len(s) == k
-        assert all(0 <= i < n for i in s)
-        assert list(s) == sorted(s)
-
-
-@pytest.mark.parametrize("n,k", [(3, 0), (3, 4), (0, 1), (5, -1)])
-def test_subset_enumeration_rejects_bad_sizes(n, k):
-    with pytest.raises(InputError):
-        iterate_k_subsets(n, k)
-
-
-# ---- subset sum / product ----
-
-def test_subset_sum_and_product_known_values():
-    v = make_vector([1, 2, 3, 4])
-    assert subset_sum(v, (0, 2)) == Fraction(4)
-    assert subset_product(v, (0, 2)) == Fraction(3)
-    assert subset_sum(v, (1, 2, 3)) == Fraction(9)
-    assert subset_product(v, (1, 2, 3)) == Fraction(24)
-
-
-def test_subset_ops_reject_bad_indices():
-    v = make_vector([1, 2, 3])
-    with pytest.raises(InputError):
-        subset_sum(v, (0, 0))
-    with pytest.raises(InputError):
-        subset_product(v, (2, 1))
-    with pytest.raises(InputError):
-        subset_sum(v, (0, 3))
-    with pytest.raises(InputError):
-        subset_product(v, ())
-
-
-@given(vectors, st.data())
-def test_subset_ops_match_direct_arithmetic(v, data):
-    k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    s = tuple(sorted(data.draw(
-        st.sets(st.integers(min_value=0, max_value=len(v) - 1),
-                min_size=k, max_size=k))))
-    assert subset_sum(v, s) == sum(v[i] for i in s)
-    assert subset_product(v, s) == math.prod(v[i] for i in s)
-
+# ---- shared subset prefixes ----
 
 @given(vectors, st.data())
 def test_subset_prefixes_match_subset_ops(v, data):
-    # the shared kernel against the brute-force oracles, subset by subset:
+    # the shared kernel against brute-force enumeration, subset by subset:
     # every prefix, completed by each entry from its start on, in order
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
     products, sums, starts = subset_prefixes(v.entries, k)
     completed = [(p * a, t + a)
                  for p, t, s in zip(products, sums, starts) for a in v.entries[s:]]
-    expected = [(subset_product(v, s), subset_sum(v, s))
-                for s in iterate_k_subsets(len(v), k)]
+    expected = [(math.prod(s), sum(s)) for s in combinations(v.entries, k)]
     assert completed == expected
 
 
