@@ -33,7 +33,6 @@ from symineq.inequality import (
 from symineq.search import (
     Distribution,
     FuzzReport,
-    SearchConfig,
     SearchResult,
     fuzz,
     maximize_ratio,
@@ -64,7 +63,6 @@ __all__ = [
     "rhs_main",
     "Distribution",
     "FuzzReport",
-    "SearchConfig",
     "SearchResult",
     "fuzz",
     "maximize_ratio",

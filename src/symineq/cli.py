@@ -10,18 +10,23 @@ violation was witnessed. Every exit 1 is one `symineq: error:` line on
 stderr, whether argparse refused the command line or the library raised
 `InputError` for an argument outside a statement's domain. The front end
 checks only what the library cannot know: file I/O, flag syntax, where in
-the input a parse failed, and the n cap. Output is plain text or JSON; both
-are deterministic for a given invocation.
+the input a parse failed, and the n cap. An error line keeps the start of a
+long message, and a closed stdout is an error too.
+
+The harnesses return only what they computed; the header of a fuzz or
+maximize run prints the arguments as this module parsed them. Output is
+plain text or JSON; both are deterministic for a given invocation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from symineq.exact import InputError, PositiveVector, make_vector, parse_scalar, render_scalar
 from symineq.inequality import (
@@ -34,15 +39,7 @@ from symineq.inequality import (
     check_reciprocal_lemma,
     report_to_record,
 )
-from symineq.search import (
-    Distribution,
-    FuzzReport,
-    KPolicy,
-    SearchConfig,
-    SearchResult,
-    fuzz,
-    maximize_ratio,
-)
+from symineq.search import Distribution, SearchResult, fuzz, maximize_ratio
 
 # Cap unless overridden: wide rationals give the lhs DP about C(n, k) distinct
 # subset sums, and the proof identity enumerates subsets outright.
@@ -52,12 +49,19 @@ _TOKEN_RE = re.compile(r"[^\s,]+")
 _RANGE_RE = re.compile(r"(?P<lo>[0-9]+)(?:\.\.(?P<hi>[0-9]+))?\Z")
 # every character that str.splitlines breaks at, to its escape sequence
 _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+# An error message keeps this many characters; its start names the flag or
+# the input location, and an echoed value may run to thousands of digits.
+_MESSAGE_CHARS = 200
 
 
 def _error_line(message: str) -> str:
-    """The one stderr line of a refusal; a line break in the message, as a
-    file name may hold, is printed as its escape sequence."""
-    return f"symineq: error: {message.translate(_LINE_BREAKS)}\n"
+    """The one stderr line of a refusal. A line break in the message, as a
+    file name may hold, is printed as its escape sequence, and a message
+    past _MESSAGE_CHARS characters is cut to its start."""
+    text = message.translate(_LINE_BREAKS)
+    if len(text) > _MESSAGE_CHARS:
+        text = f"{text[:_MESSAGE_CHARS]}... ({len(text) - _MESSAGE_CHARS} characters left out)"
+    return f"symineq: error: {text}\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,15 +123,15 @@ def _enforce_cap(n: int, max_n: int) -> None:
 
 # ---- rendering ----
 
-def _format_vector(v: PositiveVector) -> str:
+def _format_vector(v: Iterable[Fraction]) -> str:
     return "(" + ", ".join(render_scalar(a) for a in v) + ")"
 
 
-def _report_line(v: PositiveVector, report: InequalityReport,
-                 scale: Optional[Fraction] = None) -> str:
+def _report_line(v: PositiveVector, report: InequalityReport) -> str:
     head = f"{report.statement.value} n={report.n} k={report.k} v={_format_vector(v)}"
-    if scale is not None:
-        head += f" scale={render_scalar(scale)}"
+    if report.statement is Statement.PROOF_IDENTITY:
+        # the identity is evaluated on the unit-sum rescaling of v
+        head += f" scale={render_scalar(v.total())}"
     verdict = "equality" if report.is_equality else "strict"
     line = (f"{head}: lhs={render_scalar(report.lhs)}"
             f" rhs={render_scalar(report.rhs)}"
@@ -141,17 +145,17 @@ def _report_line(v: PositiveVector, report: InequalityReport,
 
 def _run_vectors(args) -> int:
     """Report on each input vector; args.reports(args, v) yields its
-    (report, scale-or-None) pairs. Text lines are printed as they are made,
-    so a violation or a bad vector on line N of a file keeps the lines
-    before it; JSON is one array, printed at the end."""
+    reports. Text lines are printed as they are made, so a violation or a
+    bad vector on line N of a file keeps the lines before it; JSON is one
+    array, printed at the end."""
     records = []
     for v in _input_vectors(args):
         _enforce_cap(len(v), args.max_n)
-        for report, scale in args.reports(args, v):
+        for report in args.reports(args, v):
             if args.format == "json":
                 records.append(report_to_record(report))
             else:
-                print(_report_line(v, report, scale))
+                print(_report_line(v, report))
     if args.format == "json":
         print(json.dumps(records, indent=2))
     return 0
@@ -159,17 +163,17 @@ def _run_vectors(args) -> int:
 
 def _check_reports(args, v: PositiveVector):
     for k in range(1, len(v) + 1) if args.all_k else (args.k,):
-        yield check_main(v, k), None
+        yield check_main(v, k)
 
 
 def _lemma_reports(args, v: PositiveVector):
     checker = (check_reciprocal_lemma if args.which == "reciprocal"
                else check_pairwise_lemma)
-    yield checker(v), None
+    yield checker(v)
 
 
 def _identity_reports(args, v: PositiveVector):
-    yield check_proof_identity(v, args.k), v.total()
+    yield check_proof_identity(v, args.k)
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -182,42 +186,11 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _fuzz_text(report: FuzzReport) -> str:
-    lo, hi = report.n_range
-    lines = [
-        f"fuzz: n={lo}..{hi} k={report.k_policy} trials={report.trials}"
-        f" distribution={report.distribution} seed={report.seed}",
-        f"trials: {report.trials}",
-        f"checks: {report.checks}",
-        f"violations: {report.violations}",
-        f"min slack: {render_scalar(report.min_slack)}"
-        f" (n={len(report.witness)} k={report.witness_k}"
-        f" v=({', '.join(render_scalar(a) for a in report.witness)}))",
-    ]
-    return "\n".join(lines)
-
-
-def _fuzz_record(report: FuzzReport) -> dict:
-    lo, hi = report.n_range
-    return {
-        "n_range": f"{lo}..{hi}",
-        "k_policy": report.k_policy,
-        "trials": report.trials,
-        "checks": report.checks,
-        "violations": report.violations,
-        "min_slack": render_scalar(report.min_slack),
-        "witness": [render_scalar(a) for a in report.witness],
-        "witness_k": report.witness_k,
-        "seed": report.seed,
-        "distribution": report.distribution,
-    }
-
-
 def _run_fuzz(args) -> int:
     n_range = _parse_n_range(args.n)
     _enforce_cap(n_range[1], args.max_n)
     if args.k is not None:
-        k_policy: KPolicy = args.k
+        k_policy = args.k
     elif args.exclude_boundary:
         k_policy = "interior"
     else:
@@ -225,18 +198,36 @@ def _run_fuzz(args) -> int:
     distribution = Distribution(kind=args.distribution, bound=args.max_value,
                                 epsilon=_located("--epsilon", parse_scalar, args.epsilon))
     report = fuzz(n_range, k_policy, args.trials, distribution, args.seed)
+    n_text = "{}..{}".format(*n_range)
     if args.format == "json":
-        print(json.dumps(_fuzz_record(report), indent=2))
+        print(json.dumps({
+            "n_range": n_text,
+            "k_policy": str(k_policy),
+            "trials": args.trials,
+            "checks": report.checks,
+            "violations": report.violations,
+            "min_slack": render_scalar(report.min_slack),
+            "witness": [render_scalar(a) for a in report.witness],
+            "witness_k": report.witness_k,
+            "seed": args.seed,
+            "distribution": distribution.describe(),
+        }, indent=2))
     else:
-        print(_fuzz_text(report))
+        print(f"fuzz: n={n_text} k={k_policy} trials={args.trials}"
+              f" distribution={distribution.describe()} seed={args.seed}\n"
+              f"trials: {args.trials}\n"
+              f"checks: {report.checks}\n"
+              f"violations: {report.violations}\n"
+              f"min slack: {render_scalar(report.min_slack)}"
+              f" (n={len(report.witness)} k={report.witness_k}"
+              f" v={_format_vector(report.witness)})")
     return 0 if report.violations == 0 else 2
 
 
-def _maximize_text(config: SearchConfig, result: SearchResult) -> str:
+def _maximize_text(args, result: SearchResult) -> str:
     lines = [
-        f"maximize: n={config.n} k={config.k} seed={config.seed}"
-        f" step={config.step_size!r} tol={config.convergence_tolerance!r}"
-        f" max_iter={config.max_iterations}",
+        f"maximize: n={args.n} k={args.k} seed={args.seed}"
+        f" step={args.step!r} tol={args.tolerance!r} max_iter={args.max_iter}",
         f"converged: {'true' if result.converged else 'false'}",
         f"iterations: {result.iterations}",
         f"ratio: {result.ratio!r}",
@@ -246,14 +237,14 @@ def _maximize_text(config: SearchConfig, result: SearchResult) -> str:
     return "\n".join(lines)
 
 
-def _maximize_record(config: SearchConfig, result: SearchResult) -> dict:
+def _maximize_record(args, result: SearchResult) -> dict:
     return {
-        "n": config.n,
-        "k": config.k,
-        "seed": config.seed,
-        "step_size": config.step_size,
-        "tolerance": config.convergence_tolerance,
-        "max_iterations": config.max_iterations,
+        "n": args.n,
+        "k": args.k,
+        "seed": args.seed,
+        "step_size": args.step,
+        "tolerance": args.tolerance,
+        "max_iterations": args.max_iter,
         "converged": result.converged,
         "iterations": result.iterations,
         "ratio": result.ratio,
@@ -264,14 +255,13 @@ def _maximize_record(config: SearchConfig, result: SearchResult) -> dict:
 
 def _run_maximize(args) -> int:
     _enforce_cap(args.n, args.max_n)
-    config = SearchConfig(n=args.n, k=args.k, max_iterations=args.max_iter,
-                          step_size=args.step, convergence_tolerance=args.tolerance,
-                          seed=args.seed)
-    result = maximize_ratio(config)
+    result = maximize_ratio(args.n, args.k, seed=args.seed, step_size=args.step,
+                            convergence_tolerance=args.tolerance,
+                            max_iterations=args.max_iter)
     if args.format == "json":
-        print(json.dumps(_maximize_record(config, result), indent=2))
+        print(json.dumps(_maximize_record(args, result), indent=2))
     else:
-        print(_maximize_text(config, result))
+        print(_maximize_text(args, result))
     return 0
 
 
@@ -355,13 +345,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
     except InputError as exc:
         sys.stderr.write(_error_line(str(exc)))
         return 1
     except Violation as exc:
         print(f"symineq: exact violation witnessed: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError as exc:
+        sys.stderr.write(_error_line(f"cannot write to stdout: {exc}"))
+        return 1
+    finally:
+        # Whatever the outcome, output that the closed stdout did not take
+        # goes to devnull, so that the interpreter's flush at exit, which
+        # would print "Exception ignored" and exit 120, has nothing to fail.
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 if __name__ == "__main__":

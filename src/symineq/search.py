@@ -9,7 +9,9 @@ then re-certifying the final iterate exactly.
 This is the only module that touches floating point. The float objective
 shares `elementary_symmetric` with the exact checkers and has the prefix
 kernel `subset_prefixes` to itself (`symineq.symfun`); the ascent works on
-plain lists. Bad arguments to either harness raise `InputError`.
+plain lists. Both harnesses take their settings as plain arguments and
+return only what they computed (`FuzzReport`, `SearchResult`); describing a
+run's inputs is the caller's job. Bad arguments raise `InputError`.
 """
 
 from __future__ import annotations
@@ -89,16 +91,13 @@ class Distribution:
 
 @dataclass(frozen=True)
 class FuzzReport:
-    trials: int
+    """What a fuzz run found; its inputs are the caller's to report."""
+
     checks: int
     violations: int
     min_slack: Fraction
     witness: tuple[Fraction, ...]
     witness_k: int
-    seed: int
-    distribution: str
-    n_range: tuple[int, int]
-    k_policy: str
 
 
 def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
@@ -151,28 +150,13 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
                 best = candidate
 
     assert best is not None  # trials >= 1 and every trial checks >= 1 k
-    return FuzzReport(
-        trials=trials, checks=checks, violations=violations,
-        min_slack=best[0], witness=best[1], witness_k=best[2],
-        seed=seed, distribution=distribution.describe(),
-        n_range=n_range, k_policy=str(k_policy),
-    )
+    return FuzzReport(checks=checks, violations=violations,
+                      min_slack=best[0], witness=best[1], witness_k=best[2])
 
 
 # --------------------------------------------------------------------------
 # Ratio maximization on the simplex
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SearchConfig:
-    n: int
-    k: int
-    max_iterations: int = 1000
-    step_size: float = 0.25
-    convergence_tolerance: float = 1e-10
-    seed: int = 0
-    start: Optional[tuple[float, ...]] = None
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -234,8 +218,13 @@ def finite_difference_gradient(x: Sequence[float], k: int) -> list[float]:
     return g
 
 
-def maximize_ratio(config: SearchConfig) -> SearchResult:
+def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
+                   convergence_tolerance: float = 1e-10, max_iterations: int = 1000,
+                   start: Optional[Sequence[float]] = None) -> SearchResult:
     """Projected gradient ascent of the ratio over the unit simplex.
+
+    The start point is `start` projected onto the simplex, or, without
+    one, a point drawn from `seed`.
 
     Finite-difference gradients are projected onto the sum-zero tangent
     space; steps use backtracking that only ever accepts improvements, so
@@ -245,23 +234,22 @@ def maximize_ratio(config: SearchConfig) -> SearchResult:
     (exact binary value of each float) and re-certified exactly; an exact
     ratio above 1 would falsify the bound and raises Violation.
     """
-    n, k = config.n, config.k
     if not 1 < k < n:
         raise InputError(f"maximization needs 1 < k < n, got k={k} n={n}")
     if not all(math.isfinite(t) and t > 0
-               for t in (config.step_size, config.convergence_tolerance)):
+               for t in (step_size, convergence_tolerance)):
         raise InputError("step_size and convergence_tolerance must be finite and positive")
-    if config.max_iterations < 1:
+    if max_iterations < 1:
         raise InputError("max_iterations must be >= 1")
 
-    if config.start is not None:
-        if len(config.start) != n:
-            raise InputError(f"start point has length {len(config.start)}, expected {n}")
-        if any(not xi > 0 for xi in config.start):
+    if start is not None:
+        if len(start) != n:
+            raise InputError(f"start point has length {len(start)}, expected {n}")
+        if any(not xi > 0 for xi in start):
             raise InputError("start point must be strictly positive")
-        x = project_simplex(config.start)
+        x = project_simplex(start)
     else:
-        rng = random.Random(config.seed)
+        rng = random.Random(seed)
         raw = [0.1 + 0.9 * rng.random() for _ in range(n)]
         total = sum(raw)
         x = project_simplex([r / total for r in raw])
@@ -271,15 +259,15 @@ def maximize_ratio(config: SearchConfig) -> SearchResult:
     iterations = 0
     converged = False
 
-    for _ in range(config.max_iterations):
+    for _ in range(max_iterations):
         g = finite_difference_gradient(x, k)
         mean = sum(g) / n
         g = [gi - mean for gi in g]
         norm = math.sqrt(sum(gi * gi for gi in g))
-        if norm <= config.convergence_tolerance:
+        if norm <= convergence_tolerance:
             converged = True
             break
-        step = config.step_size
+        step = step_size
         accepted = False
         while step * norm > 1e-18:  # halve until the move is below float resolution
             candidate = project_simplex([xi + step * gi for xi, gi in zip(x, g)])

@@ -23,7 +23,7 @@ from symineq.inequality import (
     check_reciprocal_lemma,
     proof_identity,
 )
-from symineq.search import SearchConfig, maximize_ratio
+from symineq.search import maximize_ratio
 from symineq.symfun import elementary_symmetric
 
 import random
@@ -170,7 +170,7 @@ def test_criterion_7_tightness(announce):
     ok = True
     for n, k in ((4, 2), (5, 2), (5, 3), (6, 4)):
         started = time.perf_counter()
-        result = maximize_ratio(SearchConfig(n=n, k=k, seed=0))
+        result = maximize_ratio(n, k, seed=0)
         elapsed = time.perf_counter() - started
         distance = max(abs(x - 1 / n) for x in result.argmax)
         good = (result.ratio >= 1 - 1e-9 and distance <= 1e-4

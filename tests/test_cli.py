@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from symineq.inequality import Statement, Violation, check_main, report_to_recor
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 
 def run_cli(*args):
@@ -46,6 +48,15 @@ def test_fuzz_golden():
     assert result.stdout.encode() == \
         (GOLDEN / "fuzz_n2_8_trials1000_seed42.txt").read_bytes()
     assert "violations: 0" in result.stdout
+
+
+def test_benchmark_outputs_match_their_recorded_digests():
+    # the benchmark counts a run whose output digest differs from
+    # perfbench/expected.json as failed: 32 sweep blocks and 5 fuzz runs
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.record() == workloads.load_expected()
 
 
 def readme_examples():
@@ -232,6 +243,10 @@ def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
         ("fuzz", "--n", "1.." + "9" * 5000),
         ("check", "--file", str(tmp_path / "no\nsuch"), "--k", "1"),
         ("check", "--file", str(bad_token), "--k", "1"),
+        # echoed values: argparse, the library's k check, argparse again
+        ("check", "--values", "1,2", "--k", "9" * 5000),
+        ("check", "--values", "1,2", "--k", "9" * 4000),
+        ("fuzz", "--trials", "9" * 5000),
     ]
     results = [run_cli(*args) for args in cases]
     for args, result in zip(cases, results):
@@ -240,8 +255,39 @@ def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
         assert result.stderr.count("\n") == 1, result.stderr
         assert "Traceback" not in result.stderr
     assert str(not_utf8) in results[0].stderr
-    assert "no\\nsuch: [Errno 2]" in results[-2].stderr
-    assert "bad\\nname.txt:2:3: malformed scalar 'oops'" in results[-1].stderr
+    assert "no\\nsuch: [Errno 2]" in results[-5].stderr
+    assert "bad\\nname.txt:2:3: malformed scalar 'oops'" in results[-4].stderr
+    for result, start in zip(results[-3:], ("argument --k: invalid int value: '999",
+                                            "k must satisfy 0 < k <= n, got k=999",
+                                            "argument --trials: invalid int value: '999")):
+        assert result.stderr.startswith("symineq: error: " + start), result.stderr[:80]
+        assert len(result.stderr.encode()) <= 300
+        assert "characters left out)\n" in result.stderr
+
+
+def test_closed_stdout_ends_in_one_error_line(tmp_path):
+    many = tmp_path / "many.txt"
+    many.write_text("1 2 3\n" * 20000)
+    # the second vector is too short for k=2: with the reader gone before the
+    # first line, its refusal follows output that the pipe never took
+    late_error = tmp_path / "late_error.txt"
+    late_error.write_text("1 2 3\n1\n")
+    cases = [(["--file", str(many), "--k", "2"], 1), (["--file", str(many), "--all-k"], 1),
+             (["--file", str(late_error), "--k", "2"], 0)]
+    for argv, lines_read in cases:
+        for unbuffered in ("", "1"):
+            proc = subprocess.Popen([sys.executable, "-m", "symineq", "check", *argv],
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                    env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+            for _ in range(lines_read):
+                proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 1, (argv, err)
+            assert err.startswith("symineq: error:"), (argv, err)
+            assert err.count("\n") == 1, (argv, err)
+            if lines_read:
+                assert "cannot write to stdout: [Errno 32] Broken pipe" in err
 
 
 value_text = st.lists(st.text(alphabet="0123456789/.-,x ", min_size=1, max_size=6),
@@ -447,7 +493,7 @@ def test_public_names_are_pinned():
     # brute-force oracles live in the tests
     assert sorted(symineq.__all__) == [
         "Distribution", "FuzzReport", "InequalityReport", "InputError", "PositiveVector",
-        "ScalarParseError", "SearchConfig", "SearchResult", "Statement", "VectorError",
+        "ScalarParseError", "SearchResult", "Statement", "VectorError",
         "Violation", "__version__", "check_main", "check_pairwise_lemma",
         "check_proof_identity", "check_reciprocal_lemma", "elementary_symmetric", "fuzz",
         "lhs_main", "make_vector", "maximize_ratio", "parse_scalar", "proof_identity",

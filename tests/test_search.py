@@ -12,7 +12,6 @@ from symineq.inequality import Statement, Violation
 from symineq.search import (
     SIMPLEX_FLOOR,
     Distribution,
-    SearchConfig,
     finite_difference_gradient,
     fuzz,
     maximize_ratio,
@@ -123,22 +122,17 @@ def test_fuzz_same_seed_same_report():
 
 def test_fuzz_counts_and_boundary_minimum():
     report = fuzz((2, 5), "all", 100, Distribution("integers", bound=20), seed=3)
-    assert report.trials == 100
     assert report.violations == 0
     # every trial checks each k once, so k=1 contributes slack 0 each time
     assert report.min_slack == 0
     assert report.witness_k in (1, len(report.witness))
-    assert report.checks >= 2 * report.trials
-    assert report.k_policy == "all"
-    assert report.n_range == (2, 5)
-    assert report.distribution == "integers(1..20)"
+    assert report.checks >= 2 * 100
 
 
 def test_fuzz_single_k_policy():
     report = fuzz((3, 6), 2, 50, Distribution("integers", bound=10), seed=5)
-    assert report.checks == report.trials == 50
+    assert report.checks == 50
     assert report.witness_k == 2
-    assert report.k_policy == "2"
 
 
 def test_fuzz_interior_policy_on_near_uniform_is_strictly_positive():
@@ -147,13 +141,11 @@ def test_fuzz_interior_policy_on_near_uniform_is_strictly_positive():
                   Distribution("near-uniform", epsilon=Fraction(1, 1000)), seed=9)
     assert report.violations == 0
     assert report.min_slack > 0
-    assert report.k_policy == "interior"
 
 
 def test_fuzz_forced_uniform_single_trial():
     # bound 1 forces the all-ones vector; its slack is 0 at every k
     report = fuzz((4, 4), "all", 1, Distribution("integers", bound=1), seed=0)
-    assert report.trials == 1
     assert report.checks == 4
     assert report.min_slack == 0
     assert report.witness == (Fraction(1),) * 4
@@ -288,64 +280,62 @@ def test_gradient_vanishes_at_uniform(n, k):
 # ---- maximization ----
 
 def test_maximize_same_config_same_result():
-    config = SearchConfig(n=4, k=2, seed=3)
-    assert maximize_ratio(config) == maximize_ratio(config)
+    assert maximize_ratio(4, 2, seed=3) == maximize_ratio(4, 2, seed=3)
 
 
-# sha256 of repr(maximize_ratio(config)), recorded before the float
+# sha256 of repr(maximize_ratio(**config)), recorded before the float
 # objective moved onto the prefix-shared subset kernel: the ascent's floats,
 # trace and exact ratio must not move by a bit.
 PINNED_RESULTS = [
-    (SearchConfig(n=8, k=4, seed=0),
+    (dict(n=8, k=4, seed=0),
      "df32a0b7f3955d3e76d4c0790dfbb72eac06743121ec5503a901edd9f642c935"),
-    (SearchConfig(n=8, k=4, seed=1),
+    (dict(n=8, k=4, seed=1),
      "1ca570fabfd939dba5e4f70ffe93467a04cf3c8bbf5839538fde437afe251c4e"),
-    (SearchConfig(n=8, k=4, seed=2),
+    (dict(n=8, k=4, seed=2),
      "b285682e14d14e536519f42ff4e2b55df3ced6ff2281e35afc66336bd167257b"),
-    (SearchConfig(n=5, k=3, start=(0.6, 0.1, 0.1, 0.1, 0.1)),
+    (dict(n=5, k=3, start=(0.6, 0.1, 0.1, 0.1, 0.1)),
      "ed23dd266c2caac8ca02d5ddf40f2c2519c2f65d4be17fbea0033e28a5b231e1"),
-    (SearchConfig(n=6, k=2, seed=7),
+    (dict(n=6, k=2, seed=7),
      "e5615fd4f4ab94f75e2f350c1bc2d436d12444f45593f5c88c32d50895d51bb4"),
-    (SearchConfig(n=7, k=5, seed=3),
+    (dict(n=7, k=5, seed=3),
      "a92893edc24b67dd153a799d39a8170438829eeed63492c85867b48560dc4116"),
 ]
 
 
 @pytest.mark.parametrize("config,digest", PINNED_RESULTS)
 def test_maximize_results_pinned(config, digest):
-    result = maximize_ratio(config)
+    result = maximize_ratio(**config)
     assert hashlib.sha256(repr(result).encode()).hexdigest() == digest
 
 
 def test_maximize_reaches_uniform():
     # a step of 1e20 must backtrack to a useful size, not stop at a halving budget
-    for config in (SearchConfig(n=4, k=2, seed=0),
-                   SearchConfig(n=5, k=2, seed=0, step_size=1e20)):
-        result = maximize_ratio(config)
+    for n, step_size in ((4, 0.25), (5, 1e20)):
+        result = maximize_ratio(n, 2, seed=0, step_size=step_size)
         assert result.converged
         assert result.iterations > 0
         assert result.ratio >= 1 - 1e-9
         assert result.ratio <= 1 + 1e-12
-        assert max(abs(x - 1 / config.n) for x in result.argmax) <= 1e-4
+        assert max(abs(x - 1 / n) for x in result.argmax) <= 1e-4
         assert result.exact_ratio <= 1
 
 
 def test_maximize_trace_is_monotone_and_consistent():
-    result = maximize_ratio(SearchConfig(n=5, k=3, seed=2))
+    result = maximize_ratio(5, 3, seed=2)
     assert all(b >= a for a, b in zip(result.trace, result.trace[1:]))
     assert result.trace[-1] == result.ratio
     assert result.iterations == len(result.trace) - 1
 
 
 def test_maximize_uniform_start_needs_no_steps():
-    result = maximize_ratio(SearchConfig(n=3, k=2, start=(1 / 3, 1 / 3, 1 / 3)))
+    result = maximize_ratio(3, 2, start=(1 / 3, 1 / 3, 1 / 3))
     assert result.converged
     assert result.iterations == 0
     assert abs(result.ratio - 1) <= 1e-12
 
 
 def test_maximize_from_lopsided_start():
-    result = maximize_ratio(SearchConfig(n=5, k=3, start=(0.6, 0.1, 0.1, 0.1, 0.1)))
+    result = maximize_ratio(5, 3, start=(0.6, 0.1, 0.1, 0.1, 0.1))
     assert all(b >= a for a, b in zip(result.trace, result.trace[1:]))
     assert result.converged
     assert max(abs(x - 0.2) for x in result.argmax) <= 1e-4
@@ -353,20 +343,19 @@ def test_maximize_from_lopsided_start():
 
 
 def test_maximize_argmax_stays_on_simplex():
-    result = maximize_ratio(SearchConfig(n=6, k=4, seed=1))
+    result = maximize_ratio(6, 4, seed=1)
     assert abs(sum(result.argmax) - 1) < 1e-9
     assert min(result.argmax) >= SIMPLEX_FLOOR - 1e-15
 
 
 def test_maximize_exact_recheck_matches_argmax():
-    result = maximize_ratio(SearchConfig(n=4, k=2, seed=5))
+    result = maximize_ratio(4, 2, seed=5)
     point = make_vector([Fraction(x) for x in result.argmax])
     assert ratio(point, 2) == result.exact_ratio
 
 
 def test_maximize_budget_exhaustion_is_not_convergence():
-    result = maximize_ratio(SearchConfig(n=5, k=3, max_iterations=1,
-                                         start=(0.6, 0.1, 0.1, 0.1, 0.1)))
+    result = maximize_ratio(5, 3, max_iterations=1, start=(0.6, 0.1, 0.1, 0.1, 0.1))
     assert result.iterations == 1
     assert not result.converged
     assert result.exact_ratio <= 1
@@ -374,16 +363,16 @@ def test_maximize_budget_exhaustion_is_not_convergence():
 
 def test_maximize_config_validation():
     with pytest.raises(InputError):
-        maximize_ratio(SearchConfig(n=4, k=1))
+        maximize_ratio(4, 1)
     with pytest.raises(InputError):
-        maximize_ratio(SearchConfig(n=4, k=4))
+        maximize_ratio(4, 4)
     with pytest.raises(InputError):
-        maximize_ratio(SearchConfig(n=4, k=2, step_size=0.0))
+        maximize_ratio(4, 2, step_size=0.0)
     with pytest.raises(InputError):
-        maximize_ratio(SearchConfig(n=4, k=2, convergence_tolerance=-1.0))
+        maximize_ratio(4, 2, convergence_tolerance=-1.0)
     with pytest.raises(InputError):
-        maximize_ratio(SearchConfig(n=4, k=2, max_iterations=0))
+        maximize_ratio(4, 2, max_iterations=0)
     with pytest.raises(InputError):
-        maximize_ratio(SearchConfig(n=4, k=2, start=(0.5, 0.5)))
+        maximize_ratio(4, 2, start=(0.5, 0.5))
     with pytest.raises(InputError):
-        maximize_ratio(SearchConfig(n=4, k=2, start=(0.5, 0.5, -0.5, 0.5)))
+        maximize_ratio(4, 2, start=(0.5, 0.5, -0.5, 0.5))
