@@ -11,7 +11,7 @@ stderr, whether argparse refused the command line or the library raised
 `InputError` for an argument outside a statement's domain. The front end
 checks only what the library cannot know: file I/O, flag syntax, where in
 the input a parse failed, and the n cap. An error line keeps the start of a
-long message, and a closed stdout is an error too.
+long message; a closed stdout and an interrupt are errors too.
 
 The harnesses return only what they computed; the header of a fuzz or
 maximize run prints the arguments as this module parsed them. Output is
@@ -39,7 +39,7 @@ from symineq.inequality import (
     check_reciprocal_lemma,
     report_to_record,
 )
-from symineq.search import Distribution, SearchResult, fuzz, maximize_ratio
+from symineq.search import Distribution, fuzz, maximize_ratio
 
 # Cap unless overridden: wide rationals give the lhs DP about C(n, k) distinct
 # subset sums, and the proof identity enumerates subsets outright.
@@ -82,11 +82,6 @@ def _located(where: str, parse: Callable, arg):
         raise InputError(f"{where}: {exc}") from exc
 
 
-def _parse_values(text: str) -> PositiveVector:
-    return _located("--values", lambda tokens: make_vector(map(parse_scalar, tokens)),
-                    _TOKEN_RE.findall(text))
-
-
 def _read_vector_file(path: str) -> list[PositiveVector]:
     """One vector per line; entries split on commas or whitespace; blank
     lines and text after '#' are ignored."""
@@ -111,7 +106,8 @@ def _read_vector_file(path: str) -> list[PositiveVector]:
 
 def _input_vectors(args) -> list[PositiveVector]:
     if args.values is not None:
-        return [_parse_values(args.values)]
+        return [_located("--values", lambda tokens: make_vector(map(parse_scalar, tokens)),
+                         _TOKEN_RE.findall(args.values))]
     return _read_vector_file(args.file)
 
 
@@ -189,20 +185,14 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 def _run_fuzz(args) -> int:
     n_range = _parse_n_range(args.n)
     _enforce_cap(n_range[1], args.max_n)
-    if args.k is not None:
-        k_policy = args.k
-    elif args.exclude_boundary:
-        k_policy = "interior"
-    else:
-        k_policy = "all"
     distribution = Distribution(kind=args.distribution, bound=args.max_value,
                                 epsilon=_located("--epsilon", parse_scalar, args.epsilon))
-    report = fuzz(n_range, k_policy, args.trials, distribution, args.seed)
+    report = fuzz(n_range, args.k_policy, args.trials, distribution, args.seed)
     n_text = "{}..{}".format(*n_range)
     if args.format == "json":
         print(json.dumps({
             "n_range": n_text,
-            "k_policy": str(k_policy),
+            "k_policy": str(args.k_policy),
             "trials": args.trials,
             "checks": report.checks,
             "violations": report.violations,
@@ -213,7 +203,7 @@ def _run_fuzz(args) -> int:
             "distribution": distribution.describe(),
         }, indent=2))
     else:
-        print(f"fuzz: n={n_text} k={k_policy} trials={args.trials}"
+        print(f"fuzz: n={n_text} k={args.k_policy} trials={args.trials}"
               f" distribution={distribution.describe()} seed={args.seed}\n"
               f"trials: {args.trials}\n"
               f"checks: {report.checks}\n"
@@ -224,44 +214,33 @@ def _run_fuzz(args) -> int:
     return 0 if report.violations == 0 else 2
 
 
-def _maximize_text(args, result: SearchResult) -> str:
-    lines = [
-        f"maximize: n={args.n} k={args.k} seed={args.seed}"
-        f" step={args.step!r} tol={args.tolerance!r} max_iter={args.max_iter}",
-        f"converged: {'true' if result.converged else 'false'}",
-        f"iterations: {result.iterations}",
-        f"ratio: {result.ratio!r}",
-        f"exact ratio <= 1: true",
-        f"argmax: ({', '.join(repr(xi) for xi in result.argmax)})",
-    ]
-    return "\n".join(lines)
-
-
-def _maximize_record(args, result: SearchResult) -> dict:
-    return {
-        "n": args.n,
-        "k": args.k,
-        "seed": args.seed,
-        "step_size": args.step,
-        "tolerance": args.tolerance,
-        "max_iterations": args.max_iter,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "ratio": result.ratio,
-        "exact_ratio_le_1": True,
-        "argmax": list(result.argmax),
-    }
-
-
 def _run_maximize(args) -> int:
     _enforce_cap(args.n, args.max_n)
     result = maximize_ratio(args.n, args.k, seed=args.seed, step_size=args.step,
                             convergence_tolerance=args.tolerance,
                             max_iterations=args.max_iter)
     if args.format == "json":
-        print(json.dumps(_maximize_record(args, result), indent=2))
+        print(json.dumps({
+            "n": args.n,
+            "k": args.k,
+            "seed": args.seed,
+            "step_size": args.step,
+            "tolerance": args.tolerance,
+            "max_iterations": args.max_iter,
+            "converged": result.converged,
+            "iterations": result.iterations,
+            "ratio": result.ratio,
+            "exact_ratio_le_1": True,
+            "argmax": list(result.argmax),
+        }, indent=2))
     else:
-        print(_maximize_text(args, result))
+        print(f"maximize: n={args.n} k={args.k} seed={args.seed}"
+              f" step={args.step!r} tol={args.tolerance!r} max_iter={args.max_iter}\n"
+              f"converged: {'true' if result.converged else 'false'}\n"
+              f"iterations: {result.iterations}\n"
+              f"ratio: {result.ratio!r}\n"
+              f"exact ratio <= 1: true\n"
+              f"argmax: ({', '.join(repr(xi) for xi in result.argmax)})")
     return 0
 
 
@@ -284,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "on positive vectors.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    check = subs.add_parser("check", parents=(), help="check the main bound")
+    check = subs.add_parser("check", help="check the main bound")
     _add_common(check)
     kgroup = check.add_mutually_exclusive_group(required=True)
     kgroup.add_argument("--k", type=int, help="subset size to check")
@@ -309,9 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--n", default="2..8", metavar="LO..HI",
                     help="range of vector lengths (default: 2..8)")
     fzk = fz.add_mutually_exclusive_group()
-    fzk.add_argument("--k", type=int, help="check only this subset size")
-    fzk.add_argument("--exclude-boundary", action="store_true",
-                     help="check only 1 < k < n")
+    # both write k_policy: a single k, "interior", or "all" when neither is given
+    fzk.add_argument("--k", dest="k_policy", type=int, metavar="K", default=argparse.SUPPRESS,
+                     help="check only this subset size")
+    fzk.add_argument("--exclude-boundary", dest="k_policy", action="store_const",
+                     const="interior", default="all", help="check only 1 < k < n")
     fz.add_argument("--trials", type=int, default=100,
                     help="number of random vectors (default: 100)")
     fz.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
@@ -356,6 +337,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except BrokenPipeError as exc:
         sys.stderr.write(_error_line(f"cannot write to stdout: {exc}"))
+        return 1
+    except KeyboardInterrupt:
+        sys.stderr.write(_error_line("interrupted"))
         return 1
     finally:
         # Whatever the outcome, output that the closed stdout did not take

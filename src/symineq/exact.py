@@ -11,8 +11,11 @@ Scalar text grammar (bit-exact):
     DEC  ::= INT "." [0-9]+
     FRAC ::= INT "/" [0-9]+
 
-Decimals parse to exact rationals ("0.1" is 1/10, never a binary float).
-Canonical rendering is "p/q" for denominator q > 1, else "p".
+The grammar is the only gate: text that matches it converts through
+`Fraction(text)`, which also accepts forms the grammar refuses (underscores,
+exponents, non-ASCII digits). Decimals parse to exact rationals ("0.1" is
+1/10, never a binary float). Canonical rendering is `str(Fraction)`: "p/q"
+for denominator q > 1, else "p".
 
 Integers convert to and from text only up to the interpreter's digit limit
 (`sys.get_int_max_str_digits()`, 4300 by default in CPython). Past it a
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-_SCALAR_RE = re.compile(r"(?P<num>[+-]?[0-9]+)(?:\.(?P<dec>[0-9]+)|/(?P<den>[0-9]+))?\Z")
+_SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?\Z")
 
 
 class InputError(ValueError):
@@ -59,26 +62,16 @@ def parse_scalar(text: str) -> Fraction:
     >>> parse_scalar("2/6")
     Fraction(1, 3)
     """
-    m = _SCALAR_RE.match(text)
-    if m is None:
+    if _SCALAR_RE.match(text) is None:
         raise ScalarParseError(f"malformed scalar {text!r}")
-    num, dec, den = m.group("num", "dec", "den")
     try:
-        p = int(num)
-        q = None if den is None else int(den)
-        decimals = None if dec is None else int(dec)
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ScalarParseError(f"zero denominator in {text!r}") from exc
     except ValueError as exc:  # a digit run past the interpreter's int/str limit
         raise ScalarParseError(
             f"scalar literal of {len(text)} characters has a run of more than "
             f"{sys.get_int_max_str_digits()} digits") from exc
-    if q is not None:
-        if q == 0:
-            raise ScalarParseError(f"zero denominator in {text!r}")
-        return Fraction(p, q)
-    if decimals is not None:
-        sign = -1 if num[0] == "-" else 1
-        return Fraction(sign * (abs(p) * 10 ** len(dec) + decimals), 10 ** len(dec))
-    return Fraction(p)
 
 
 def render_scalar(x: Fraction) -> str:
@@ -88,9 +81,7 @@ def render_scalar(x: Fraction) -> str:
     converts to text (`sys.get_int_max_str_digits`).
     """
     try:
-        if x.denominator > 1:
-            return f"{x.numerator}/{x.denominator}"
-        return str(x.numerator)
+        return str(x)
     except ValueError as exc:
         bits = max(x.numerator.bit_length(), x.denominator.bit_length())
         raise RenderError(

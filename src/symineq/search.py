@@ -75,7 +75,7 @@ class Distribution:
 
     def sample(self, rng: random.Random, n: int) -> PositiveVector:
         if self.kind == "integers":
-            return make_vector([Fraction(rng.randint(1, self.bound)) for _ in range(n)])
+            return make_vector([rng.randint(1, self.bound) for _ in range(n)])
         if self.kind == "rationals":
             return make_vector(
                 [Fraction(rng.randint(1, self.bound), rng.randint(1, self.bound))
@@ -256,7 +256,6 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
 
     f = ratio_float(x, k)
     trace = [f]
-    iterations = 0
     converged = False
 
     for _ in range(max_iterations):
@@ -268,18 +267,15 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
             converged = True
             break
         step = step_size
-        accepted = False
         while step * norm > 1e-18:  # halve until the move is below float resolution
             candidate = project_simplex([xi + step * gi for xi, gi in zip(x, g)])
             fc = ratio_float(candidate, k)
             if fc > f:
                 x, f = candidate, fc
                 trace.append(f)
-                iterations += 1
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:  # no step was accepted
             converged = True
             break
 
@@ -292,7 +288,7 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
     return SearchResult(
         argmax=tuple(x),
         ratio=f,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         converged=converged,
         trace=tuple(trace),
         exact_ratio=exact_lhs / exact_rhs,

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from symineq.inequality import Statement, Violation, check_main, report_to_recor
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
 
 
 def run_cli(*args):
@@ -57,6 +59,27 @@ def test_benchmark_outputs_match_their_recorded_digests():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     assert workloads.record() == workloads.load_expected()
+
+
+def test_benchmark_tracer_wraps_every_span_target(capsys):
+    # the tracer looks each target up in its home module, so every target
+    # module must be imported with symineq.cli and keep its function names
+    import symineq.cli
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = [(sys.modules[module], name, getattr(sys.modules[module], name))
+                 for module, name, _, _ in spans.TARGETS]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(module, name) is not fn for module, name, fn in originals)
+        assert symineq.cli.main(["check", "--values", "1,2,3", "--k", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, name) is fn for module, name, fn in originals)
+    assert tracer.summary()["inequality.lhs_main.calls"] == 1
+    assert capsys.readouterr().out.startswith("MainTheorem n=3 k=2")
 
 
 def readme_examples():
@@ -288,6 +311,20 @@ def test_closed_stdout_ends_in_one_error_line(tmp_path):
             assert err.count("\n") == 1, (argv, err)
             if lines_read:
                 assert "cannot write to stdout: [Errno 32] Broken pipe" in err
+
+
+def test_interrupt_ends_in_one_error_line(tmp_path):
+    many = tmp_path / "many.txt"
+    many.write_text((" ".join(map(str, range(1, 17))) + "\n") * 20000)
+    proc = subprocess.Popen([sys.executable, "-m", "symineq", "check", "--file", str(many),
+                             "--all-k"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # the first output byte comes after the file is parsed, inside main
+    assert proc.stdout.read(1)
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b"symineq: error: interrupted\n"
 
 
 value_text = st.lists(st.text(alphabet="0123456789/.-,x ", min_size=1, max_size=6),

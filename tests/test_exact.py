@@ -45,6 +45,8 @@ def test_parse_fractions_canonicalized():
     "", " ", "1/0", "-3/0", "1.2.3", "1/2/3", "1e3", ".5", "5.", "1/",
     "/2", "+", "-", "1 / 2", " 1", "1 ", "0x10", "two", "1,5", "nan",
     "inf", "1.5/2", "--1",
+    # forms that Fraction(text) accepts and the grammar does not
+    "1_000", "1/1_0", "\u0663", "\uff11", "1E3", "+.5",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ScalarParseError):
