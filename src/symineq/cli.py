@@ -37,6 +37,7 @@ from symineq.inequality import (
     check_pairwise_lemma,
     check_proof_identity,
     check_reciprocal_lemma,
+    main_reports,
     report_to_record,
 )
 from symineq.search import Distribution, fuzz, maximize_ratio
@@ -66,10 +67,18 @@ def _error_line(message: str) -> str:
 
 class _Parser(argparse.ArgumentParser):
     # argparse prints its usage text and exits with status 2 on bad usage;
-    # this front end reserves 2 for witnessed violations and refuses every
-    # input with one error line and status 1.
+    # this front end reserves 2 for witnessed violations, so a usage error
+    # is an InputError like every other refusal: one error line, status 1.
     def error(self, message):
-        self.exit(1, _error_line(message))
+        raise InputError(message)
+
+    # argparse drops a `--` from an option's value strings, so CPython 3.11
+    # stores `--values=--` as an empty list that no type or choice checks;
+    # a single-value option given only `--` has no value.
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 # ---- input parsing ----
@@ -158,8 +167,10 @@ def _run_vectors(args) -> int:
 
 
 def _check_reports(args, v: PositiveVector):
-    for k in range(1, len(v) + 1) if args.all_k else (args.k,):
-        yield check_main(v, k)
+    if args.all_k:
+        yield from main_reports(v, range(1, len(v) + 1))
+    else:
+        yield check_main(v, args.k)
 
 
 def _lemma_reports(args, v: PositiveVector):
@@ -324,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
         return code

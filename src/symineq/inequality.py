@@ -17,13 +17,15 @@ Both sides of the main bound and of the identity work on the integer form
 of v: the denominators are cleared once (b = v*L, L their lcm), the sums
 run on ints, and each side builds one Fraction at the end. The left side is
 a subset-sum dynamic program (`symfun.products_by_sum`), not an
-enumeration; its brute-force oracle lives in the tests. The k-subset side of
-the proof identity is the same dynamic program, while the other side keeps
-its own enumeration of the (k+1)-subsets, so the identity cross-checks the
-one against the other. The reciprocal lemma uses the same integer form; the
-pairwise lemma stays a literal double loop, the cross-check of the main
-bound at k = 2. An argument outside a statement's domain (k outside 1..n,
-or n < 2 for the lemmas) raises `InputError`.
+enumeration; its brute-force oracle lives in the tests. `check_main` runs
+the pass pruned to one k; `main_reports` checks many k's of one vector
+from one pass, whose row k gives lhs and, summed, e_k for rhs. The
+k-subset side of the proof identity is the same dynamic program, while the
+other side keeps its own enumeration of the (k+1)-subsets, so the identity
+cross-checks the one against the other. The reciprocal lemma uses the same
+integer form; the pairwise lemma stays a literal double loop, the
+cross-check of the main bound at k = 2. An argument outside a statement's
+domain (k outside 1..n, or n < 2 for the lemmas) raises `InputError`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator, Sequence
 
 from symineq.exact import InputError, PositiveVector, render_scalar
 from symineq.symfun import elementary_symmetric, products_by_sum
@@ -140,7 +143,8 @@ def lhs_main(v: PositiveVector, k: int) -> Fraction:
     prod(b_S) over the k-subsets with sum(b_S) = s (`products_by_sum`).
     """
     ints, scale = _integer_form(v)
-    return _sum_over_sums(products_by_sum(ints, k), scale ** (k - 1))
+    [row] = products_by_sum(ints, (k,))
+    return _sum_over_sums(row, scale ** (k - 1))
 
 
 def rhs_main(v: PositiveVector, k: int) -> Fraction:
@@ -158,6 +162,30 @@ def check_main(v: PositiveVector, k: int) -> InequalityReport:
     for 1 < k < n equality holds exactly when all entries are equal.
     """
     return _report(Statement.MAIN_THEOREM, v, k, lhs_main(v, k), rhs_main(v, k))
+
+
+def main_sides(v: PositiveVector,
+               ks: Sequence[int]) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """(k, lhs_main(v, k), rhs_main(v, k)) for each k in ks, in order.
+
+    One `products_by_sum` pass over the integer form serves every k: row k
+    gives lhs as in `lhs_main`, and its values sum to e_k(b) for rhs as in
+    `rhs_main`. Each k is reduced to its two Fractions when its turn comes.
+    """
+    ints, scale = _integer_form(v)
+    total = sum(ints)
+    for k, row in zip(ks, products_by_sum(ints, ks)):
+        weight = scale ** (k - 1)
+        yield (k, _sum_over_sums(row, weight),
+               Fraction(len(v) * sum(row.values()), k * weight * total))
+
+
+def main_reports(v: PositiveVector, ks: Sequence[int]) -> Iterator[InequalityReport]:
+    """check_main(v, k) for each k in ks, in order, from one dynamic program
+    pass (`main_sides`). A violation at some k is raised after the reports
+    of the k's before it have been yielded."""
+    for k, lhs, rhs in main_sides(v, ks):
+        yield _report(Statement.MAIN_THEOREM, v, k, lhs, rhs)
 
 
 # --------------------------------------------------------------------------
@@ -233,7 +261,8 @@ def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
         raise InputError(f"the identity needs 0 < k < n, got k={k} n={n}")
     b, _ = _integer_form(v)
     total = sum(b)
-    left = {s: p * (total - s) for s, p in products_by_sum(b, k).items()}
+    [row] = products_by_sum(b, (k,))
+    left = {s: p * (total - s) for s, p in row.items()}
 
     right: dict[int, int] = {}
     for s in combinations(b, k + 1):

@@ -4,7 +4,8 @@ Two harnesses live here: seeded randomized fuzzing, where every candidate is
 evaluated through the exact checker (floats never decide a verdict), and
 ratio maximization over the unit simplex, which demonstrates tightness by
 ascending the (float) ratio of the two sides toward the uniform point and
-then re-certifying the final iterate exactly.
+then re-certifying the final iterate exactly. A fuzz trial checks all of its
+k's on one vector from one subset-sum dynamic program pass.
 
 This is the only module that touches floating point. The float objective
 shares `elementary_symmetric` with the exact checkers and has the prefix
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
-from symineq.inequality import Statement, Violation, check_main, lhs_main, rhs_main
+from symineq.inequality import Statement, Violation, lhs_main, main_sides, rhs_main
 from symineq.symfun import elementary_symmetric, subset_prefixes
 
 # Coordinates never drop below this during projection: the bound's domain is
@@ -105,11 +106,13 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     """Run seeded random trials through the exact main-bound checker.
 
     Each trial draws n uniformly from the sub-range of n_range that admits
-    the k policy, samples one vector, and checks every selected k. The
-    minimum slack and its witness are tracked with a deterministic
-    tie-break (slack, then witness entries lexicographically, then k), so
-    identical seeds reproduce the report bit for bit. A violation would
-    surface as a negative min_slack with its exact witness attached.
+    the k policy, samples one vector, and checks every selected k from one
+    dynamic program pass (`main_sides`). The minimum slack and its witness
+    are tracked with a deterministic tie-break (slack, then witness entries
+    lexicographically, then k), so identical seeds reproduce the report bit
+    for bit. A negative slack counts as a violation and the run goes on, so
+    a violation surfaces as a negative min_slack with its exact witness
+    attached.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:
@@ -138,13 +141,11 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     for _ in range(trials):
         n = rng.randint(lo, hi)
         v = distribution.sample(rng, n)
-        for k in ks_at(n):
+        for k, lhs, rhs in main_sides(v, ks_at(n)):
             checks += 1
-            try:
-                slack = check_main(v, k).slack
-            except Violation as exc:
+            slack = rhs - lhs
+            if slack < 0:
                 violations += 1
-                slack = exc.rhs - exc.lhs
             candidate = (slack, v.entries, k)
             if best is None or candidate < best:
                 best = candidate

@@ -9,6 +9,8 @@ which pass the integers of a vector with its denominators cleared, and the
 float objective share it. `products_by_sum` is the same recurrence on
 integers with every row keyed by subset sum; the exact left side of the
 main bound and the k-subset side of the proof identity are built on it.
+One pass of it serves every requested k, since row j of the pass is the
+answer for k = j, so a check of many k's on one vector runs it once.
 `subset_prefixes` builds the products and sums of the (k-1)-subsets level
 by level, so a prefix that many k-subsets share is folded once, and serves
 the float objective only: it gives every product and sum bit for bit as a
@@ -91,26 +93,31 @@ def elementary_symmetric(v: Sequence, k: int):
     return row[k]
 
 
-def products_by_sum(ints: Sequence[int], k: int) -> dict[int, int]:
-    """Map each k-subset sum s to the total product of the k-subsets summing to s.
+def products_by_sum(ints: Sequence[int], ks: Sequence[int]) -> list[dict[int, int]]:
+    """For each k in ks, map each k-subset sum s to the total product of the
+    k-subsets summing to s.
 
     The `elementary_symmetric` row recurrence with every row keyed by subset
     sum: rows[j][s] is the total of prod(S) over the j-subsets S of the
-    entries seen so far with sum(S) = s, so summing the returned values gives
+    entries seen so far with sum(S) = s, so summing row k's values gives
     e_k. Subsets that share a sum are merged, so the cost follows the number
-    of distinct sums, not C(n, k). After entry m only rows j >= k - (n - m)
-    can still reach row k; the others are dropped.
+    of distinct sums, not C(n, k). One pass builds the rows up to max(ks)
+    and serves every k in ks; after entry m only rows j >= min(ks) - (n - m)
+    can still reach a requested row, and the others are dropped. The
+    single-k case is ks = (k,).
     """
     n = len(ints)
-    check_k(k, n)
-    rows = [{0: 1}] + [{} for _ in range(k)]
+    for k in ks:
+        check_k(k, n)
+    low, top = min(ks, default=0), max(ks, default=0)
+    rows = [{0: 1}] + [{} for _ in range(top)]
     for m, b in enumerate(ints, start=1):
-        need = k - (n - m)  # the lowest row that can still reach row k
-        for j in range(min(m, k), max(need, 1) - 1, -1):
+        need = low - (n - m)  # the lowest row that can still reach row `low`
+        for j in range(min(m, top), max(need, 1) - 1, -1):
             dst = rows[j]
             for s, p in rows[j - 1].items():
                 s += b
                 dst[s] = dst.get(s, 0) + p * b
         if need > 0:
             rows[need - 1] = {}  # it fed row `need` for the last time
-    return rows[k]
+    return [rows[k] for k in ks]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -12,12 +13,12 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import symineq
 from symineq.cli import main
 from symineq.exact import make_vector
-from symineq.inequality import Statement, Violation, check_main, report_to_record
+from symineq.inequality import Statement, Violation, check_main, main_sides, report_to_record
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -110,6 +111,39 @@ def test_fuzz_runs_are_byte_identical():
     second = run_cli(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# sha256 of the stdout of each run, recorded while fuzz and `check --all-k`
+# still ran the dynamic program once per k: one pass for every k must not
+# move a byte under any k policy, format or distribution.
+PINNED_OUTPUTS = [
+    ("fuzz --n 2..8 --trials 200 --seed 42 --format json",
+     "74effbc9d27a3edfd067d37f6e7aafa2afab342270f676b09749f3f0aa10832e"),
+    ("fuzz --n 3..9 --trials 100 --seed 7 --exclude-boundary",
+     "111986eea14f24303a651ef3ac5414108b4c73c5bca730f99da3fc2a53e84090"),
+    ("fuzz --n 3..9 --trials 100 --seed 7 --exclude-boundary --format json",
+     "2c92874e73da69c5f36ffce51d2109532b7d79b3c0120dd1cbb2ca36c083a554"),
+    ("fuzz --n 2..9 --trials 100 --seed 5 --k 2",
+     "fd251db458abdd8c8b27e69cc5713200bb890690c1980b53f0d4fa385af1b434"),
+    ("fuzz --n 2..8 --trials 100 --seed 3 --distribution rationals",
+     "bf38fb5e5cf73feb12c562f4c740ec9f349694c826af78028c19871b862b2b53"),
+    ("fuzz --n 3..8 --trials 100 --seed 3 --distribution rationals --exclude-boundary"
+     " --format json",
+     "135e8eb6b2b6a59ac6b07eb1519faef52c97cccf5cfef72ba46cda996afab908"),
+    ("check --values 1,2,3,7/2,9 --all-k",
+     "38015416b8d67566659d7883baba319c0f3380d0fb616744fb14321588293a69"),
+    ("check --values 12/7,3/11,99/100,1,2,3,4,5 --all-k --format json",
+     "ac16f151f3cb858e30c8f0b713cfa315a15451d7d0b13a11f206c5b179f47811"),
+]
+
+
+def test_fuzz_and_all_k_outputs_pinned():
+    for argv, digest in PINNED_OUTPUTS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv.split())
+        assert (code, err.getvalue()) == (0, ""), argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
 
 
 # ---- report content ----
@@ -238,12 +272,27 @@ def test_usage_errors_exit_1():
         ("maximize", "--n", "5", "--k", "2", "--tolerance", "inf"),
         ("frobnicate",),                                      # unknown command
     ]
-    for args in cases:
+    # a single-value option given only `--`, which argparse drops from its value
+    no_value = [
+        (("check", "--values=--", "--k", "1"), "--values"),
+        (("lemma", "--which", "pairwise", "--values=--"), "--values"),
+        (("identity", "--k", "1", "--values=--"), "--values"),
+        (("check", "--file=--", "--k", "1"), "--file"),
+        (("fuzz", "--n=--"), "--n"),
+        (("fuzz", "--epsilon=--"), "--epsilon"),
+        (("check", "--values", "1,2", "--k=--"), "--k"),
+        (("maximize", "--n", "5", "--k", "2", "--step=--"), "--step"),
+        (("check", "--values", "1,2", "--k", "1", "--format=--"), "--format"),
+    ]
+    for args, flag in [(args, None) for args in cases] + no_value:
         result = run_cli(*args)
         assert result.returncode == 1, args
         assert result.stderr.startswith("symineq: error:"), (args, result.stderr)
         assert result.stderr.count("\n") == 1, (args, result.stderr)
         assert result.stdout == "", args
+        if flag is not None:
+            assert result.stderr == \
+                f"symineq: error: argument {flag}: expected one argument\n", args
 
 
 def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
@@ -333,6 +382,7 @@ value_text = st.lists(st.text(alphabet="0123456789/.-,x ", min_size=1, max_size=
 
 @given(st.sampled_from(["check", "lemma", "identity"]), value_text,
        st.integers(min_value=0, max_value=4))
+@example(command="check", text="--", k=1)
 def test_random_values_end_in_a_report_or_one_error_line(command, text, k):
     argv = [command, f"--values={text}"]
     if command == "lemma":
@@ -351,14 +401,11 @@ def test_random_values_end_in_a_report_or_one_error_line(command, text, k):
 
 
 def run_in_process(argv):
-    """(exit code, stderr) of main(argv); argparse's usage exits count as
-    exit codes, any other exception escapes and fails the calling test."""
+    """(exit code, stderr) of main(argv); usage errors return 1 like every
+    refusal, and any exception escapes and fails the calling test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, err.getvalue()
 
 
@@ -504,11 +551,27 @@ def test_violation_keeps_earlier_report_lines(monkeypatch, capsys, tmp_path):
     assert "slack=-1" in captured.err
 
 
-def test_fuzz_with_violations_exits_2(monkeypatch, capsys):
-    def inverted(v, k):
-        raise Violation(Statement.MAIN_THEOREM, v, k, Fraction(3), Fraction(2))
+def test_all_k_violation_keeps_the_lines_of_earlier_k(monkeypatch, capsys):
+    def second_k_inverted(v, ks):
+        for k, lhs, rhs in main_sides(v, ks):
+            yield (k, rhs + 1, rhs) if k == 2 else (k, lhs, rhs)
 
-    monkeypatch.setattr("symineq.search.check_main", inverted)
+    monkeypatch.setattr("symineq.inequality.main_sides", second_k_inverted)
+    code = main(["check", "--values", "1,2,3", "--all-k"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ("MainTheorem n=3 k=1 v=(1, 2, 3): lhs=3 rhs=3 slack=0 equality"
+                            " [identity (always equality)]\n")
+    assert "MainTheorem violated at n=3 k=2:" in captured.err
+    assert "slack=-1" in captured.err
+
+
+def test_fuzz_with_violations_exits_2(monkeypatch, capsys):
+    def inverted(v, ks):
+        # deliberately inverted sides standing in for a falsified bound
+        return [(k, Fraction(3), Fraction(2)) for k in ks]
+
+    monkeypatch.setattr("symineq.search.main_sides", inverted)
     code = main(["fuzz", "--n", "3..3", "--trials", "5", "--seed", "0"])
     captured = capsys.readouterr()
     assert code == 2

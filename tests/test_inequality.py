@@ -15,6 +15,7 @@ from symineq.inequality import (
     check_proof_identity,
     check_reciprocal_lemma,
     lhs_main,
+    main_reports,
     proof_identity,
     report_to_record,
     rhs_main,
@@ -84,6 +85,16 @@ def test_sides_match_oracles(v, data):
 def test_lhs_matches_oracle_on_colliding_sums_and_wide_rationals(v):
     for k in range(1, len(v) + 1):
         assert lhs_main(v, k) == lhs_oracle(v, k)
+
+
+@settings(deadline=None)
+@given(st.one_of(vectors, colliding_vectors, wide_vectors), st.data())
+def test_one_pass_reports_equal_check_main_at_every_k(v, data):
+    # every k of one vector from one pass, against a pruned pass per k
+    ks = data.draw(st.one_of(
+        st.just(range(1, len(v) + 1)),
+        st.lists(st.integers(min_value=1, max_value=len(v)), min_size=1, max_size=4)))
+    assert list(main_reports(v, ks)) == [check_main(v, k) for k in ks]
 
 
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(7, 3)])

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symineq.exact import InputError, make_vector
-from symineq.inequality import Statement, Violation
 from symineq.search import (
     SIMPLEX_FLOOR,
     Distribution,
@@ -183,10 +182,11 @@ def test_fuzz_policy_validation():
 
 
 def test_fuzz_counts_violations_and_keeps_negative_min_slack(monkeypatch):
-    def inverted(v, k):
-        raise Violation(Statement.MAIN_THEOREM, v, k, Fraction(2), Fraction(1))
+    def inverted(v, ks):
+        # deliberately inverted sides standing in for a falsified bound
+        return [(k, Fraction(2), Fraction(1)) for k in ks]
 
-    monkeypatch.setattr("symineq.search.check_main", inverted)
+    monkeypatch.setattr("symineq.search.main_sides", inverted)
     report = fuzz((3, 3), 2, 25, Distribution("integers", bound=5), seed=0)
     assert report.violations == 25
     assert report.min_slack == -1

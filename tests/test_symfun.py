@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symineq.exact import InputError, make_vector
 from symineq.symfun import elementary_symmetric, products_by_sum, subset_prefixes
@@ -102,23 +102,60 @@ def test_ek_split_recurrence(v, data):
 
 # ---- products grouped by subset sum ----
 
+def by_sum_brute(ints, k):
+    # independent oracle: explicit k-subsets, grouped by their sum
+    grouped = {}
+    for s in combinations(ints, k):
+        grouped[sum(s)] = grouped.get(sum(s), 0) + math.prod(s)
+    return grouped
+
+
+def cleared(v):
+    # the entries times the lcm of their denominators, as ints
+    scale = math.lcm(*(a.denominator for a in v))
+    return [int(a * scale) for a in v]
+
+
 @given(vectors, st.data())
 def test_products_by_sum_regroups_ek_of_scaled_integers(v, data):
     # the DP rows against e_k and against a brute-force grouping by sum
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    scale = math.lcm(*(a.denominator for a in v))
-    ints = [int(a * scale) for a in v]
-    row = products_by_sum(ints, k)
+    ints = cleared(v)
+    [row] = products_by_sum(ints, (k,))
     assert sum(row.values()) == elementary_symmetric(ints, k)
-    expected = {}
-    for s in combinations(ints, k):
-        expected[sum(s)] = expected.get(sum(s), 0) + math.prod(s)
-    assert row == expected
+    assert row == by_sum_brute(ints, k)
+
+
+# few distinct subset sums, so many subsets merge; or wide rationals with
+# their denominators cleared, so almost none do
+colliding_ints = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=12)
+six_digits = st.integers(min_value=10 ** 5, max_value=10 ** 6 - 1)
+wide_ints = st.lists(st.builds(Fraction, six_digits, six_digits), min_size=1,
+                     max_size=8).map(cleared)
+
+
+@settings(deadline=None)  # the oracle enumerates up to 4095 subsets per example
+@given(st.one_of(colliding_ints, wide_ints), st.data())
+def test_one_pass_serves_every_k_like_a_pass_per_k(ints, data):
+    # one pass for any ks (unsorted, repeated) against the pruned single-k
+    # pass and the brute-force grouping, row by row
+    ks = data.draw(st.one_of(
+        st.just(range(1, len(ints) + 1)),
+        st.lists(st.integers(min_value=1, max_value=len(ints)), min_size=1, max_size=6)))
+    rows = products_by_sum(ints, ks)
+    assert len(rows) == len(ks)
+    for k, row in zip(ks, rows):
+        assert row == products_by_sum(ints, (k,))[0] == by_sum_brute(ints, k)
 
 
 def test_products_by_sum_frozen():
     # 2-subsets of (1, 2, 3, 4): sums 3, 4, 5, 5, 6, 7
-    assert products_by_sum([1, 2, 3, 4], 2) == {3: 2, 4: 3, 5: 4 + 6, 6: 8, 7: 12}
-    assert products_by_sum([5], 1) == {5: 5}
+    pairs = {3: 2, 4: 3, 5: 4 + 6, 6: 8, 7: 12}
+    assert products_by_sum([1, 2, 3, 4], (2,)) == [pairs]
+    assert products_by_sum([1, 2, 3, 4], (2, 1)) == [pairs, {1: 1, 2: 2, 3: 3, 4: 4}]
+    assert products_by_sum([5], (1,)) == [{5: 5}]
+    assert products_by_sum([1, 2], ()) == []
     with pytest.raises(InputError):
-        products_by_sum([1, 2], 3)
+        products_by_sum([1, 2], (3,))
+    with pytest.raises(InputError):
+        products_by_sum([1, 2], (1, 0))
