@@ -11,23 +11,31 @@ merged into the output file under "<workload>/trace<T>":
 
 A pair is won when the change's value is better in the direction
 BENCHMARK.json gives the metric; ties count for neither side.
+
+Each side runs with its own fresh bytecode cache (PYTHONPYCACHEPREFIX, a new
+temporary directory per side per invocation, inherited by the CLI processes
+the benchmark starts), written even under PYTHONDONTWRITEBYTECODE. So both
+sides compile once and then reuse their cache, and a `__pycache__` left in
+either checkout is never read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
-def run_side(root: Path, workload: str, seed: int, trace: int) -> dict:
+def run_side(root: Path, workload: str, seed: int, trace: int, env: dict) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         sys.exit(f"bench_pairs: {root} seed {seed} exited {proc.returncode}:\n"
                  f"{proc.stderr[-2000:]}")
@@ -77,15 +85,22 @@ def main() -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     pairs = []
-    for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_side(sides[side], args.workload, seed, args.trace)
-        pairs.append(pair)
-        print(f"{args.workload} seed {seed}: " + ", ".join(
-            f"{side} wall_s={pair[side]['metrics'].get('wall_s')}" for side in sides),
-            file=sys.stderr)
+    with tempfile.TemporaryDirectory() as parent_cache, \
+            tempfile.TemporaryDirectory() as change_cache:
+        envs = {}
+        for side, cache in (("parent", parent_cache), ("change", change_cache)):
+            envs[side] = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+            envs[side].pop("PYTHONDONTWRITEBYTECODE", None)
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_side(sides[side], args.workload, seed, args.trace,
+                                      envs[side])
+            pairs.append(pair)
+            print(f"{args.workload} seed {seed}: " + ", ".join(
+                f"{side} wall_s={pair[side]['metrics'].get('wall_s')}" for side in sides),
+                file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[f"{args.workload}/trace{args.trace}"] = {

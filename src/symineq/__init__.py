@@ -10,8 +10,6 @@ and maximization harnesses whose verdicts are always re-certified exactly.
 from symineq.exact import (
     InputError,
     PositiveVector,
-    ScalarParseError,
-    VectorError,
     make_vector,
     parse_scalar,
     render_scalar,
@@ -36,7 +34,6 @@ from symineq.search import (
     SearchResult,
     fuzz,
     maximize_ratio,
-    ratio,
 )
 
 __version__ = "0.1.0"
@@ -44,8 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "InputError",
     "PositiveVector",
-    "ScalarParseError",
-    "VectorError",
     "make_vector",
     "parse_scalar",
     "render_scalar",
@@ -66,6 +61,5 @@ __all__ = [
     "SearchResult",
     "fuzz",
     "maximize_ratio",
-    "ratio",
     "__version__",
 ]

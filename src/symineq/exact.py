@@ -19,11 +19,11 @@ for denominator q > 1, else "p".
 
 Integers convert to and from text only up to the interpreter's digit limit
 (`sys.get_int_max_str_digits()`, 4300 by default in CPython). Past it a
-literal is refused with ScalarParseError and a value with RenderError; the
+literal is refused by `parse_scalar` and a value by `render_scalar`; the
 limit itself is left as it is.
 
 Every refusal of an argument in the package is an InputError, a ValueError;
-the three errors of this module are its subclasses.
+its message says which rule was broken.
 """
 
 from __future__ import annotations
@@ -42,18 +42,6 @@ class InputError(ValueError):
     """An argument outside a function's domain; the one refusal type of the package."""
 
 
-class ScalarParseError(InputError):
-    """Text does not match the scalar grammar, or has a zero denominator."""
-
-
-class VectorError(InputError):
-    """Input vector is empty or has a nonpositive entry."""
-
-
-class RenderError(InputError):
-    """An exact value has more digits than the interpreter converts to text."""
-
-
 def parse_scalar(text: str) -> Fraction:
     """Parse an integer, decimal, or fraction literal into an exact rational.
 
@@ -63,13 +51,13 @@ def parse_scalar(text: str) -> Fraction:
     Fraction(1, 3)
     """
     if _SCALAR_RE.match(text) is None:
-        raise ScalarParseError(f"malformed scalar {text!r}")
+        raise InputError(f"malformed scalar {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise ScalarParseError(f"zero denominator in {text!r}") from exc
+        raise InputError(f"zero denominator in {text!r}") from exc
     except ValueError as exc:  # a digit run past the interpreter's int/str limit
-        raise ScalarParseError(
+        raise InputError(
             f"scalar literal of {len(text)} characters has a run of more than "
             f"{sys.get_int_max_str_digits()} digits") from exc
 
@@ -77,14 +65,14 @@ def parse_scalar(text: str) -> Fraction:
 def render_scalar(x: Fraction) -> str:
     """Canonical rendering: "p/q" when q > 1, else "p".
 
-    Raises RenderError when a part has more digits than the interpreter
+    Raises InputError when a part has more digits than the interpreter
     converts to text (`sys.get_int_max_str_digits`).
     """
     try:
         return str(x)
     except ValueError as exc:
         bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-        raise RenderError(
+        raise InputError(
             f"exact value of about {int(bits * math.log10(2)) + 1} digits is past "
             f"the {sys.get_int_max_str_digits()}-digit limit for rendering") from exc
 
@@ -124,8 +112,8 @@ def make_vector(values: Iterable[Union[Fraction, int]]) -> PositiveVector:
             raise TypeError(f"float at index {i}; exact inputs must be Fraction or int")
         x = Fraction(value)
         if x <= 0:
-            raise VectorError(f"nonpositive entry {render_scalar(x)} at index {i}")
+            raise InputError(f"nonpositive entry {render_scalar(x)} at index {i}")
         entries.append(x)
     if not entries:
-        raise VectorError("empty vector")
+        raise InputError("empty vector")
     return PositiveVector(tuple(entries))

@@ -7,7 +7,10 @@ ascending the (float) ratio of the two sides toward the uniform point and
 then re-certifying the final iterate exactly. A fuzz trial checks all of its
 k's on one vector from one subset-sum dynamic program pass.
 
-This is the only module that touches floating point. The float objective
+This is the only module that touches floating point. Its float sums are
+plain left folds (`reduce(add, xs, 0.0)` or a `+=` loop), never `sum()`,
+which compensates float sums from Python 3.12 on: the seeded ascent's
+output bytes depend on the order of every addition. The float objective
 shares `elementary_symmetric` with the exact checkers and has the prefix
 kernel `subset_prefixes` to itself (`symineq.symfun`); the ascent works on
 plain lists. Both harnesses take their settings as plain arguments and
@@ -21,6 +24,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
@@ -33,11 +38,6 @@ SIMPLEX_FLOOR = 1e-9
 GRADIENT_STEP = 1e-6  # the central-difference step of the ascent's gradient
 
 KPolicy = Union[int, str]  # a single k, "all", or "interior" (boundary excluded)
-
-
-def ratio(v: PositiveVector, k: int) -> Fraction:
-    """lhs/rhs of the main bound, exact. Lies in (0, 1]; scale-invariant."""
-    return lhs_main(v, k) / rhs_main(v, k)
 
 
 # --------------------------------------------------------------------------
@@ -172,16 +172,14 @@ class SearchResult:
 def ratio_float(x: Sequence[float], k: int) -> float:
     """The float objective: lhs/rhs of the main bound at a positive point.
 
-    The lhs terms are added one by one in lexicographic subset order, not
-    by sum(), which compensates float sums from Python 3.12 on: that order
-    is what the seeded ascent's output bytes depend on.
+    The lhs terms are added one by one in lexicographic subset order.
     """
     products, sums, starts = subset_prefixes(x, k)
     lhs = 0.0
     for p, t, s in zip(products, sums, starts):
         for a in x[s:]:
             lhs += p * a / (t + a)
-    rhs = (len(x) / k) * elementary_symmetric(x, k) / sum(x)
+    rhs = (len(x) / k) * elementary_symmetric(x, k) / reduce(add, x, 0.0)
     return lhs / rhs
 
 
@@ -252,7 +250,7 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
     else:
         rng = random.Random(seed)
         raw = [0.1 + 0.9 * rng.random() for _ in range(n)]
-        total = sum(raw)
+        total = reduce(add, raw, 0.0)
         x = project_simplex([r / total for r in raw])
 
     f = ratio_float(x, k)
@@ -261,9 +259,9 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
 
     for _ in range(max_iterations):
         g = finite_difference_gradient(x, k)
-        mean = sum(g) / n
+        mean = reduce(add, g, 0.0) / n
         g = [gi - mean for gi in g]
-        norm = math.sqrt(sum(gi * gi for gi in g))
+        norm = math.sqrt(reduce(add, [gi * gi for gi in g], 0.0))
         if norm <= convergence_tolerance:
             converged = True
             break

@@ -7,9 +7,6 @@ import symineq
 from symineq.exact import (
     InputError,
     PositiveVector,
-    RenderError,
-    ScalarParseError,
-    VectorError,
     make_vector,
     parse_scalar,
     render_scalar,
@@ -49,19 +46,19 @@ def test_parse_fractions_canonicalized():
     "1_000", "1/1_0", "\u0663", "\uff11", "1E3", "+.5",
 ])
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(ScalarParseError):
+    with pytest.raises(InputError, match="malformed scalar|zero denominator"):
         parse_scalar(bad)
 
 
 def test_zero_denominator_is_a_parse_error_not_a_crash():
-    with pytest.raises(ScalarParseError, match="denominator"):
+    with pytest.raises(InputError, match="zero denominator"):
         parse_scalar("5/0")
 
 
 @pytest.mark.parametrize("text", ["7" * 5000, "1/" + "3" * 5000, "0." + "1" * 5000],
                          ids=["integer", "denominator", "decimals"])
 def test_parse_refuses_digit_runs_past_the_int_str_limit(text):
-    with pytest.raises(ScalarParseError, match="more than 4300 digits"):
+    with pytest.raises(InputError, match="scalar literal of .* more than 4300 digits"):
         parse_scalar(text)
 
 
@@ -79,7 +76,7 @@ def test_render_canonical_forms():
 @pytest.mark.parametrize("x", [Fraction(10 ** 5000), Fraction(-1, 10 ** 5000)],
                          ids=["numerator", "denominator"])
 def test_render_refuses_values_past_the_int_str_limit(x):
-    with pytest.raises(RenderError, match="about 5001 digits"):
+    with pytest.raises(InputError, match="about 5001 digits is past the 4300-digit limit"):
         render_scalar(x)
 
 
@@ -119,14 +116,14 @@ def test_vector_total():
 
 
 def test_make_vector_rejects_empty():
-    with pytest.raises(VectorError):
+    with pytest.raises(InputError, match="empty vector"):
         make_vector([])
 
 
 def test_make_vector_rejects_nonpositive_with_index():
-    with pytest.raises(VectorError, match="index 1"):
+    with pytest.raises(InputError, match="nonpositive entry 0 at index 1"):
         make_vector([1, 0, 3])
-    with pytest.raises(VectorError, match="index 2"):
+    with pytest.raises(InputError, match="nonpositive entry -1/7 at index 2"):
         make_vector([1, 2, Fraction(-1, 7)])
 
 
@@ -138,8 +135,12 @@ def test_make_vector_rejects_floats():
 def test_refusals_share_one_value_error_type():
     assert symineq.InputError is InputError
     assert issubclass(InputError, ValueError)
-    for error in (ScalarParseError, VectorError, RenderError):
-        assert issubclass(error, InputError)
+    refusals = (lambda: parse_scalar("two"), lambda: make_vector([]),
+                lambda: render_scalar(Fraction(10 ** 5000)))
+    for refuse in refusals:
+        with pytest.raises(InputError) as info:
+            refuse()
+        assert type(info.value) is InputError
 
 
 def test_vector_is_immutable():
