@@ -22,8 +22,10 @@ Integers convert to and from text only up to the interpreter's digit limit
 literal is refused by `parse_scalar` and a value by `render_scalar`; the
 limit itself is left as it is.
 
-Every refusal of an argument in the package is an InputError, a ValueError;
-its message says which rule was broken.
+A `PositiveVector` is the tuple of its entries, ints and Fractions that
+`make_vector` checked to be positive. Every refusal of an argument in the
+package is an InputError, a ValueError; its message says which rule was
+broken.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 _SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?\Z")
 
@@ -77,43 +78,36 @@ def render_scalar(x: Fraction) -> str:
             f"the {sys.get_int_max_str_digits()}-digit limit for rendering") from exc
 
 
-@dataclass(frozen=True)
-class PositiveVector:
-    """An ordered multiset of strictly positive exact rationals (repeats kept)."""
+class PositiveVector(tuple):
+    """An ordered multiset of strictly positive exact rationals (repeats kept):
+    the tuple of its entries, as `make_vector` validated them."""
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ()
 
     def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
+        return sum(self, Fraction(0))
 
     def __repr__(self) -> str:
-        return f"PositiveVector({', '.join(render_scalar(a) for a in self.entries)})"
+        return f"PositiveVector({', '.join(render_scalar(a) for a in self)})"
 
 
 def make_vector(values: Iterable[Union[Fraction, int]]) -> PositiveVector:
     """Validate and freeze a vector of positive exact scalars.
 
-    Order and multiplicity are preserved. Floats are rejected outright:
-    silently converting one would smuggle a binary rounding step onto the
-    exact path.
+    Order and multiplicity are preserved. Only ints and Fractions are
+    admitted; any other value (a float, a Decimal, a string) raises
+    TypeError. Converting a float would smuggle a binary rounding step onto
+    the exact path, and text has its own gate, `parse_scalar`.
     """
     entries = []
     for i, value in enumerate(values):
-        if isinstance(value, float):
-            raise TypeError(f"float at index {i}; exact inputs must be Fraction or int")
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{type(value).__name__} at index {i}; "
+                            "exact inputs must be Fraction or int")
         x = Fraction(value)
         if x <= 0:
             raise InputError(f"nonpositive entry {render_scalar(x)} at index {i}")
         entries.append(x)
     if not entries:
         raise InputError("empty vector")
-    return PositiveVector(tuple(entries))
+    return PositiveVector(entries)

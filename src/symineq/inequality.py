@@ -11,7 +11,8 @@ off the exact slack. Supporting checks: the reciprocal bound
 (sum 1/a_i >= sum of reciprocals of the (n-1)-wise averages), the pairwise
 product bound (the k = 2 case written as a direct double sum), and the
 rearrangement identity behind the proof. All arithmetic is exact; a
-negative slack is raised as `Violation`, never returned in a report.
+negative slack is raised as `Violation`, never returned in a report (an
+`InequalityReport`, a named tuple).
 
 Both sides of the main bound and of the identity work on the integer form
 of v: the denominators are cleared once (b = v*L, L their lcm), the sums
@@ -31,11 +32,10 @@ domain (k outside 1..n, or n < 2 for the lemmas) raises `InputError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from symineq.exact import InputError, PositiveVector, render_scalar
 from symineq.symfun import elementary_symmetric, products_by_sum
@@ -65,8 +65,7 @@ class Violation(Exception):
         )
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     n: int
     k: int
     statement: Statement
@@ -226,13 +225,12 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
     n = len(v)
     if n < 2:
         raise InputError(f"the pairwise lemma needs n >= 2, got n={n}")
-    a = v.entries
     lhs = Fraction(0)
     pair_products = Fraction(0)
     for i in range(n):
         for j in range(i + 1, n):
-            lhs += a[i] * a[j] / (a[i] + a[j])
-            pair_products += a[i] * a[j]
+            lhs += v[i] * v[j] / (v[i] + v[j])
+            pair_products += v[i] * v[j]
     rhs = Fraction(n) * pair_products / (2 * v.total())
     return _report(Statement.PAIRWISE_LEMMA, v, 2, lhs, rhs)
 

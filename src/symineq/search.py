@@ -14,19 +14,20 @@ output bytes depend on the order of every addition. The float objective
 shares `elementary_symmetric` with the exact checkers and has the prefix
 kernel `subset_prefixes` to itself (`symineq.symfun`); the ascent works on
 plain lists. Both harnesses take their settings as plain arguments and
-return only what they computed (`FuzzReport`, `SearchResult`); describing a
-run's inputs is the caller's job. Bad arguments raise `InputError`.
+return only what they computed, as named tuples (`FuzzReport`,
+`SearchResult`); describing a run's inputs is the caller's job. Bad
+arguments raise `InputError`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
 from symineq.inequality import Statement, Violation, lhs_main, main_sides, rhs_main
@@ -44,8 +45,7 @@ KPolicy = Union[int, str]  # a single k, "all", or "interior" (boundary excluded
 # Fuzzing
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(namedtuple("Distribution", "kind bound epsilon")):
     """A named, seed-deterministic input distribution.
 
     integers     entries are uniform integers in 1..bound
@@ -55,17 +55,16 @@ class Distribution:
                  uniform vector); a single-entry vector stays at 1
     """
 
-    kind: str
-    bound: int = 100
-    epsilon: Fraction = Fraction(1, 1000)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("integers", "rationals", "near-uniform"):
-            raise InputError(f"unknown distribution {self.kind!r}")
-        if self.bound < 1:
+    def __new__(cls, kind: str, bound: int = 100, epsilon: Fraction = Fraction(1, 1000)):
+        if kind not in ("integers", "rationals", "near-uniform"):
+            raise InputError(f"unknown distribution {kind!r}")
+        if bound < 1:
             raise InputError("bound must be >= 1")
-        if not 0 < self.epsilon < 1:
+        if not 0 < epsilon < 1:
             raise InputError("epsilon must lie in (0, 1)")
+        return super().__new__(cls, kind, bound, epsilon)
 
     def describe(self) -> str:
         if self.kind == "integers":
@@ -90,8 +89,7 @@ class Distribution:
                 return make_vector([1 + d * self.epsilon for d in offsets])
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(NamedTuple):
     """What a fuzz run found; its inputs are the caller's to report."""
 
     checks: int
@@ -136,7 +134,7 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     rng = random.Random(seed)
     checks = 0
     violations = 0
-    best: Optional[tuple[Fraction, tuple[Fraction, ...], int]] = None
+    best: Optional[tuple[Fraction, PositiveVector, int]] = None
 
     for _ in range(trials):
         n = rng.randint(lo, hi)
@@ -146,21 +144,20 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
             slack = rhs - lhs
             if slack < 0:
                 violations += 1
-            candidate = (slack, v.entries, k)
+            candidate = (slack, v, k)
             if best is None or candidate < best:
                 best = candidate
 
     assert best is not None  # trials >= 1 and every trial checks >= 1 k
     return FuzzReport(checks=checks, violations=violations,
-                      min_slack=best[0], witness=best[1], witness_k=best[2])
+                      min_slack=best[0], witness=tuple(best[1]), witness_k=best[2])
 
 
 # --------------------------------------------------------------------------
 # Ratio maximization on the simplex
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     argmax: tuple[float, ...]
     ratio: float
     iterations: int

@@ -2,8 +2,8 @@
 by subset sum, and shared subset prefixes.
 
 Subsets are canonical strictly-increasing index tuples, taken in
-lexicographic order (the deterministic contract every checker and golden
-transcript relies on). There are three kernels. `elementary_symmetric` is
+lexicographic order: the seeded float objective's bytes rely on it, no
+exact result does. There are three kernels. `elementary_symmetric` is
 a row dynamic program, generic over the number type, so the exact checkers,
 which pass the integers of a vector with its denominators cleared, and the
 float objective share it. `products_by_sum` is the same recurrence on

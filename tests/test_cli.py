@@ -13,6 +13,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symineq
@@ -113,9 +114,11 @@ def test_fuzz_runs_are_byte_identical():
     assert first.stdout == second.stdout
 
 
-# sha256 of the stdout of each run, recorded while fuzz and `check --all-k`
-# still ran the dynamic program once per k: one pass for every k must not
-# move a byte under any k policy, format or distribution.
+# sha256 of the stdout of each run. The fuzz and `check --all-k` digests were
+# recorded while they still ran the dynamic program once per k: one pass for
+# every k must not move a byte under any k policy, format or distribution.
+# The maximize digests are the benchmark's three runs, recorded while the
+# records were still dataclasses.
 PINNED_OUTPUTS = [
     ("fuzz --n 2..8 --trials 200 --seed 42 --format json",
      "74effbc9d27a3edfd067d37f6e7aafa2afab342270f676b09749f3f0aa10832e"),
@@ -134,6 +137,12 @@ PINNED_OUTPUTS = [
      "38015416b8d67566659d7883baba319c0f3380d0fb616744fb14321588293a69"),
     ("check --values 12/7,3/11,99/100,1,2,3,4,5 --all-k --format json",
      "ac16f151f3cb858e30c8f0b713cfa315a15451d7d0b13a11f206c5b179f47811"),
+    ("maximize --n 13 --k 6 --seed 0",
+     "4c62bd1fd77c1f14d286397d5c27b715a1fe743fb39d3219f3e9750aee35475b"),
+    ("maximize --n 13 --k 6 --seed 1",
+     "709a63b05af8fe962350678f491793f0c27ad3b155871d98dddbb445f37eba09"),
+    ("maximize --n 13 --k 6 --seed 2",
+     "10434ec2a5b8d62b58b647b14c554232be757676d644a1a2b7cb55c8228f6013"),
 ]
 
 
@@ -582,10 +591,14 @@ def test_fuzz_with_violations_exits_2(monkeypatch, capsys):
 # ---- dependencies and public names ----
 
 def test_import_leaves_numpy_out():
-    # the package has no runtime dependencies; this keeps numpy from creeping back
-    probe = "import sys, symineq, symineq.cli; print('numpy' in sys.modules)"
+    # the package has no runtime dependencies; this keeps numpy from creeping
+    # back, and dataclasses (which loads inspect) with it. Only what the import
+    # itself loads counts: a site hook may load inspect before it.
+    probe = ("import sys; before = set(sys.modules); import symineq, symineq.cli; "
+             "print([m in set(sys.modules) - before for m in "
+             "('numpy', 'dataclasses', 'inspect')])")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert result.stdout == "False\n", result.stderr
+    assert result.stdout == "[False, False, False]\n", result.stderr
 
 
 def test_public_names_are_pinned():
@@ -599,3 +612,29 @@ def test_public_names_are_pinned():
         "parse_scalar", "proof_identity", "render_scalar", "report_to_record", "rhs_main"]
     for name in symineq.__all__:
         assert hasattr(symineq, name), name
+
+
+def test_record_reprs_and_equality_pinned():
+    # sha256 of the reprs, recorded while the records were dataclasses; a
+    # record is a tuple now, and must still print, compare and hash alike
+    def records():
+        v = make_vector([1, Fraction(5, 2), 3])
+        return [v, check_main(v, 2), symineq.check_reciprocal_lemma(v),
+                symineq.check_pairwise_lemma(v), symineq.check_proof_identity(v, 2),
+                symineq.fuzz((3, 6), "interior", 20,
+                             symineq.Distribution("rationals", bound=9), seed=1),
+                symineq.Distribution("integers"),
+                symineq.Distribution("near-uniform", epsilon=Fraction(1, 7))]
+
+    first, second = records(), records()
+    text = "\n".join(map(repr, first))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "39407ad75c1b81509e2a5a77da628434bb367bf1aa02cd985432f5cd23c723a7"), text
+    first.append(symineq.maximize_ratio(4, 2, max_iterations=3))
+    second.append(symineq.maximize_ratio(4, 2, max_iterations=3))
+    for a, b in zip(first, second):
+        assert type(a) is type(b) and a == b and hash(a) == hash(b), a
+    for record, field in zip(first[1:], ("slack", "lhs", "rhs", "is_equality",
+                                         "witness", "kind", "epsilon", "ratio")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -104,7 +105,7 @@ def test_parse_decimal_matches_power_of_ten_ratio(whole, frac, places):
 
 def test_make_vector_accepts_ints_and_fractions():
     v = make_vector([1, Fraction(5, 2), 3])
-    assert v.entries == (Fraction(1), Fraction(5, 2), Fraction(3))
+    assert v == (Fraction(1), Fraction(5, 2), Fraction(3))
     assert len(v) == 3
     assert v[1] == Fraction(5, 2)
     assert list(v) == [Fraction(1), Fraction(5, 2), Fraction(3)]
@@ -127,9 +128,12 @@ def test_make_vector_rejects_nonpositive_with_index():
         make_vector([1, 2, Fraction(-1, 7)])
 
 
-def test_make_vector_rejects_floats():
-    with pytest.raises(TypeError):
-        make_vector([1.5, 2])
+@pytest.mark.parametrize("bad", [1.5, "1/2", Decimal("0.1"), Decimal("NaN"), None],
+                         ids=["float", "str", "decimal", "decimal-nan", "none"])
+def test_make_vector_rejects_floats(bad):
+    # only int and Fraction are exact inputs; text goes through parse_scalar
+    with pytest.raises(TypeError, match=f"{type(bad).__name__} at index 1"):
+        make_vector([2, bad])
 
 
 def test_refusals_share_one_value_error_type():
@@ -145,8 +149,8 @@ def test_refusals_share_one_value_error_type():
 
 def test_vector_is_immutable():
     v = make_vector([1, 2])
-    with pytest.raises(AttributeError):
-        v.entries = (Fraction(9),)
+    with pytest.raises(TypeError):
+        v[0] = Fraction(9)
 
 
 def test_vector_repr_shows_entries():

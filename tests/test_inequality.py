@@ -45,7 +45,7 @@ def lhs_oracle(v, k):
 
 def identity_oracle(v, k):
     # the identity's left sum in Fractions on the unit-sum rescaling w = v / sum(v)
-    total = sum(v.entries)
+    total = sum(v)
     w = [a / total for a in v]
     return k * sum(math.prod(w[i] for i in s) * (1 - sum(w[i] for i in s))
                    / sum(w[i] for i in s) for s in combinations(range(len(w)), k))
@@ -53,7 +53,7 @@ def identity_oracle(v, k):
 
 def rhs_oracle(v, k):
     ek = sum(math.prod(v[i] for i in s) for s in combinations(range(len(v)), k))
-    return Fraction(len(v), k) * ek / sum(v.entries)
+    return Fraction(len(v), k) * ek / sum(v)
 
 
 # ---- main bound ----
@@ -117,7 +117,7 @@ def test_main_slack_nonnegative(v, data):
 def test_boundary_k_is_an_identity(v):
     n = len(v)
     assert lhs_main(v, 1) == n == rhs_main(v, 1)
-    prod = math.prod(v.entries)
+    prod = math.prod(v)
     assert lhs_main(v, n) == prod / v.total() == rhs_main(v, n)
     assert check_main(v, 1).is_equality
     assert check_main(v, n).is_equality

@@ -25,10 +25,10 @@ def test_subset_prefixes_match_subset_ops(v, data):
     # the shared kernel against brute-force enumeration, subset by subset:
     # every prefix, completed by each entry from its start on, in order
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    products, sums, starts = subset_prefixes(v.entries, k)
+    products, sums, starts = subset_prefixes(v, k)
     completed = [(p * a, t + a)
-                 for p, t, s in zip(products, sums, starts) for a in v.entries[s:]]
-    expected = [(math.prod(s), sum(s)) for s in combinations(v.entries, k)]
+                 for p, t, s in zip(products, sums, starts) for a in v[s:]]
+    expected = [(math.prod(s), sum(s)) for s in combinations(v, k)]
     assert completed == expected
 
 
