@@ -12,8 +12,9 @@ plain left folds (`reduce(add, xs, 0.0)` or a `+=` loop), never `sum()`,
 which compensates float sums from Python 3.12 on: the seeded ascent's
 output bytes depend on the order of every addition. The float objective
 shares `elementary_symmetric` with the exact checkers and has the prefix
-kernel `subset_prefixes` to itself (`symineq.symfun`); the ascent works on
-plain lists. Both harnesses take their settings as plain arguments and
+kernels of `symineq.symfun` to itself; its gradient refolds only the terms
+that hold the moved coordinate, in the objective's order. The ascent works
+on plain lists. Both harnesses take their settings as plain arguments and
 return only what they computed, as named tuples (`FuzzReport`,
 `SearchResult`); describing a run's inputs is the caller's job. Bad
 arguments raise `InputError`.
@@ -31,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
 from symineq.inequality import Statement, Violation, lhs_main, main_sides, rhs_main
-from symineq.symfun import elementary_symmetric, subset_prefixes
+from symineq.symfun import _moved_prefixes, _prefix_levels, elementary_symmetric, subset_prefixes
 
 # Coordinates never drop below this during projection: the bound's domain is
 # strictly positive vectors, and float subset sums must stay away from 0.
@@ -176,8 +177,11 @@ def ratio_float(x: Sequence[float], k: int) -> float:
     for p, t, s in zip(products, sums, starts):
         for a in x[s:]:
             lhs += p * a / (t + a)
-    rhs = (len(x) / k) * elementary_symmetric(x, k) / reduce(add, x, 0.0)
-    return lhs / rhs
+    return lhs / _rhs(x, k)
+
+
+def _rhs(x: Sequence[float], k: int) -> float:
+    return (len(x) / k) * elementary_symmetric(x, k) / reduce(add, x, 0.0)
 
 
 def project_simplex(x: Sequence[float]) -> list[float]:
@@ -202,15 +206,26 @@ def project_simplex(x: Sequence[float]) -> list[float]:
 
 
 def finite_difference_gradient(x: Sequence[float], k: int) -> list[float]:
-    """Central finite-difference gradient of ratio_float at x."""
+    """Central finite-difference gradient of ratio_float at x.
+
+    Each moved point refolds only the k-subsets that hold x_i
+    (`_moved_prefixes`), keeps x's other terms and folds them all in
+    ratio_float's order, so each side is ratio_float's value, bit for bit.
+    """
+    levels, starts = _prefix_levels(x, k)
+    terms = [p * a / (t + a) for p, t, s in zip(*levels[-1], starts) for a in x[s:]]
     g = []
     for i, xi in enumerate(x):
         hi = min(GRADIENT_STEP, 0.5 * xi)  # keep the perturbed point positive
-        xp = list(x)
-        xp[i] = xi + hi
-        xm = list(x)
-        xm[i] = xi - hi
-        g.append((ratio_float(xp, k) - ratio_float(xm, k)) / (2.0 * hi))
+        xs, sides = list(x), []
+        for xs[i] in (xi + hi, xi - hi):
+            products, sums, (parents, indices, positions) = _moved_prefixes(levels, xs, i)
+            lhs = terms.copy()
+            for pos, q, a in zip(positions, parents, indices):
+                a = xs[a]
+                lhs[pos] = products[q] * a / (sums[q] + a)
+            sides.append(reduce(add, lhs, 0.0) / _rhs(xs, k))
+        g.append((sides[0] - sides[1]) / (2.0 * hi))
     return g
 
 
@@ -241,8 +256,8 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
     if start is not None:
         if len(start) != n:
             raise InputError(f"start point has length {len(start)}, expected {n}")
-        if any(not xi > 0 for xi in start):
-            raise InputError("start point must be strictly positive")
+        if not all(math.isfinite(t) and t > 0 for t in (*start, reduce(add, start, 0.0))):
+            raise InputError("start point and its sum must be finite and strictly positive")
         x = project_simplex(start)
     else:
         rng = random.Random(seed)

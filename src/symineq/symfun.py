@@ -1,26 +1,26 @@
 """Combinatorial kernels: elementary symmetric polynomials, products grouped
 by subset sum, and shared subset prefixes.
 
-Subsets are canonical strictly-increasing index tuples, taken in
-lexicographic order: the seeded float objective's bytes rely on it, no
-exact result does. There are three kernels. `elementary_symmetric` is
-a row dynamic program, generic over the number type, so the exact checkers,
-which pass the integers of a vector with its denominators cleared, and the
-float objective share it. `products_by_sum` is the same recurrence on
-integers with every row keyed by subset sum; the exact left side of the
-main bound and the k-subset side of the proof identity are built on it.
-One pass of it serves every requested k, since row j of the pass is the
-answer for k = j, so a check of many k's on one vector runs it once.
-`subset_prefixes` builds the products and sums of the (k-1)-subsets level
-by level, so a prefix that many k-subsets share is folded once, and serves
-the float objective only: it gives every product and sum bit for bit as a
-left-to-right fold over the subset would. Their brute-force oracles, which
-enumerate every subset, live in the tests. Every argument check raises
+Subsets are canonical strictly-increasing index tuples in lexicographic
+order; the seeded float objective's bytes rely on it, no exact result does.
+`elementary_symmetric` is a row dynamic program, generic over the number
+type, shared by the exact checkers (on the integers of a vector with its
+denominators cleared) and the float objective. `products_by_sum` is the
+same recurrence on integers with every row keyed by subset sum, for the
+exact left side of the main bound and the k-subset side of the proof
+identity; one pass serves every requested k, since row j is the answer for
+k = j. `subset_prefixes` builds the products and sums of the (k-1)-subsets
+level by level (`_extend`), so a shared prefix is folded once, bit for bit
+as a left-to-right fold over each subset would give. The float gradient
+keeps every level (`_prefix_levels`) and, after one entry moves, rebuilds
+only the prefixes that hold it (`_moved_prefixes`) by the same recurrence.
+The brute-force oracles live in the tests. Every argument check raises
 `InputError`.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import Sequence
 
@@ -33,10 +33,11 @@ def check_k(k: int, n: int) -> None:
         raise InputError(f"k must satisfy 0 < k <= n, got k={k} n={n}")
 
 
-# Bounded. The float objective needs one plan per (n, k): a maximize run
-# uses one, and a process that runs many searches keeps the 32 most recent.
-# At n = 20 the plans of all k together hold about 33 MB, the largest
-# (k = 11) about 6 MB.
+# Bounded. The float objective needs one plan per (n, k); a process that
+# runs many searches keeps the 32 most recent. At n = 20 the plans of all k
+# hold about 33 MB, k = 10 5.2 MB. The gradient's per-coordinate tables, for
+# 2 (n, k) at most, add 24 MB at n = 20, k = 10, 1.3 MB at n = 16, k = 8 and
+# 0.14 MB at n = 13, k = 6 (tracemalloc).
 @lru_cache(maxsize=32)
 def _prefix_plan(n: int, k: int) -> tuple[tuple, tuple[int, ...]]:
     """The index plan of `subset_prefixes` for n entries and subset size k.
@@ -57,6 +58,56 @@ def _prefix_plan(n: int, k: int) -> tuple[tuple, tuple[int, ...]]:
     return tuple(levels), starts
 
 
+@lru_cache(maxsize=2)
+def _coordinate_plan(n: int, k: int) -> tuple[tuple, ...]:
+    """Per coordinate i, (levels, completion): the plan cut to the subsets that hold i.
+
+    Each level keeps (parents, indices) of its entries that hold i, parent
+    positions counting on through the held entries of the level below; the
+    completion adds the k-subsets' lexicographic positions.
+    """
+    # the plan of n + 1 entries and k + 1 is this one followed by the k-subsets
+    levels, _ = _prefix_plan.__wrapped__(n + 1, k + 1)
+    plans = []
+    for i in range(n):
+        tables, ranks, size = [], {}, 1  # ranks: held position -> rank, one level down
+        for parents, indices in levels:
+            held = [m for m, (q, a) in enumerate(zip(parents, indices)) if a == i or q in ranks]
+            tables.append((array("I", [parents[m] if indices[m] == i
+                                       else size + ranks[parents[m]] for m in held]),
+                           array("B" if n <= 256 else "I", [indices[m] for m in held])))
+            ranks, size = {m: r for r, m in enumerate(held)}, len(parents)
+        plans.append((tuple(tables[:-1]), (*tables[-1], array("I", held))))
+    return tuple(plans)
+
+
+def _extend(products: list, sums: list, parents: Sequence[int], added: list) -> tuple:
+    """One level: entry m is entry parents[m] of the level before times, and plus, added[m]."""
+    return ([products[q] * a for q, a in zip(parents, added)],
+            [sums[q] + a for q, a in zip(parents, added)])
+
+
+def _prefix_levels(entries: Sequence, k: int) -> tuple[list, tuple[int, ...]]:
+    """The (products, sums) of every `_prefix_plan` level, from ([1], [0]) on, and the starts."""
+    check_k(k, len(entries))
+    plan, starts = _prefix_plan(len(entries), k)
+    levels = [([1], [0])]
+    for parents, indices in plan:
+        levels.append(_extend(*levels[-1], parents, [entries[i] for i in indices]))
+    return levels, starts
+
+
+def _moved_prefixes(levels: list, entries: Sequence, i: int) -> tuple[list, list, tuple]:
+    """The last of `levels` followed by its prefixes that hold i, rebuilt after
+    entries[i] moved, and the completion of coordinate i (`_coordinate_plan`)."""
+    tables, completion = _coordinate_plan(len(entries), len(levels))[i]
+    products, sums = [], []
+    for (base_products, base_sums), (parents, indices) in zip(levels, tables):
+        products, sums = _extend(base_products + products, base_sums + sums, parents,
+                                 [entries[a] for a in indices])
+    return levels[-1][0] + products, levels[-1][1] + sums, completion
+
+
 def subset_prefixes(entries: Sequence, k: int) -> tuple[list, list, tuple[int, ...]]:
     """(products, sums, starts) of the (k-1)-subsets that begin k-subsets.
 
@@ -67,14 +118,8 @@ def subset_prefixes(entries: Sequence, k: int) -> tuple[list, list, tuple[int, .
     match a left-to-right fold over each subset exactly, floats included
     (1 * a == a and 0 + a == a), while a shared prefix is folded once.
     """
-    check_k(k, len(entries))
-    levels, starts = _prefix_plan(len(entries), k)
-    products, sums = [1], [0]
-    for parents, indices in levels:
-        added = [entries[i] for i in indices]
-        products = [products[q] * a for q, a in zip(parents, added)]
-        sums = [sums[q] + a for q, a in zip(parents, added)]
-    return products, sums, starts
+    levels, starts = _prefix_levels(entries, k)
+    return (*levels[-1], starts)
 
 
 def elementary_symmetric(v: Sequence, k: int):

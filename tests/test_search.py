@@ -7,11 +7,12 @@ from itertools import combinations
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symineq.exact import InputError, make_vector
 from symineq.inequality import lhs_main, rhs_main
 from symineq.search import (
+    GRADIENT_STEP,
     SIMPLEX_FLOOR,
     Distribution,
     finite_difference_gradient,
@@ -20,7 +21,7 @@ from symineq.search import (
     project_simplex,
     ratio_float,
 )
-from symineq.symfun import elementary_symmetric
+from symineq.symfun import _coordinate_plan, elementary_symmetric
 
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
 vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
@@ -277,6 +278,49 @@ def test_ratio_float_is_the_oracle_fold_bit_for_bit(pool, data):
     assert ratio_float(x, k) == ratio_float_oracle(x, k)  # exact, no tolerance
 
 
+def gradient_oracle(x, k):
+    # one whole ratio_float per moved point; finite_difference_gradient must
+    # give the same floats, bit for bit
+    g = []
+    for i, xi in enumerate(x):
+        hi = min(GRADIENT_STEP, 0.5 * xi)  # keep the perturbed point positive
+        xp = list(x)
+        xp[i] = xi + hi
+        xm = list(x)
+        xm[i] = xi - hi
+        g.append((ratio_float(xp, k) - ratio_float(xm, k)) / (2.0 * hi))
+    return g
+
+
+@st.composite
+def pooled_points(draw):
+    pool = draw(float_pool)
+    x = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return x, draw(st.integers(min_value=1, max_value=len(x)))
+
+
+@given(pooled_points())
+@example(([1 / 6] * 6, 3))  # the uniform point
+@example(([SIMPLEX_FLOOR, SIMPLEX_FLOOR, 0.3, 0.7 - 2 * SIMPLEX_FLOOR], 2))  # hi = 0.5 * xi
+@example(([0.1, 0.2, 0.3, 0.15, 0.25], 4))  # k = n - 1
+@example(([0.5, 0.25] * 129, 1))  # n > 256: indices past one byte
+@settings(deadline=None)
+def test_gradient_is_the_oracle_bit_for_bit(point):
+    x, k = point
+    # hex, so that a 0.0 in place of a -0.0 fails too
+    assert [g.hex() for g in finite_difference_gradient(x, k)] == \
+        [g.hex() for g in gradient_oracle(x, k)]
+
+
+def test_ratio_float_builds_no_coordinate_tables():
+    # the per-coordinate tables serve the gradient only
+    _coordinate_plan.cache_clear()
+    ratio_float([0.5, 0.25, 0.125, 0.125], 2)
+    assert _coordinate_plan.cache_info().currsize == 0
+    finite_difference_gradient([0.5, 0.25, 0.125, 0.125], 2)
+    assert _coordinate_plan.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 4)])
 def test_gradient_vanishes_at_uniform(n, k):
     g = finite_difference_gradient([1.0 / n] * n, k)
@@ -306,6 +350,14 @@ PINNED_RESULTS = [
      "e5615fd4f4ab94f75e2f350c1bc2d436d12444f45593f5c88c32d50895d51bb4"),
     (dict(n=7, k=5, seed=3),
      "a92893edc24b67dd153a799d39a8170438829eeed63492c85867b48560dc4116"),
+    # recorded before the gradient rebuilt only the subsets that hold x_i:
+    # every 8-subset but one holds each i; shallow levels; floor-branch steps
+    (dict(n=9, k=8, seed=0),
+     "bdd82343523437fd6e50d05b8b0df4c27f78e8beace8180b301160912dfa17dc"),
+    (dict(n=10, k=2, seed=1),
+     "c2b289742d0adfa809cd3159a1ce462f1981cd57ed4203617a23b48057c0385a"),
+    (dict(n=6, k=3, start=(1e-9, 1e-9, 1.0, 1.0, 1.0, 1.0)),
+     "67380a198322557cf59a589f12f05bc6b6079e546e62b3b8afc5059d241fe60c"),
 ]
 
 
@@ -392,3 +444,7 @@ def test_maximize_config_validation():
         maximize_ratio(4, 2, start=(0.5, 0.5))
     with pytest.raises(InputError):
         maximize_ratio(4, 2, start=(0.5, 0.5, -0.5, 0.5))
+    with pytest.raises(InputError):
+        maximize_ratio(3, 2, start=(math.inf, 1.0, 1.0))
+    with pytest.raises(InputError):
+        maximize_ratio(3, 2, start=(1e308, 1e308, 1e308))  # the sum overflows
