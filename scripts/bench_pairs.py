@@ -10,7 +10,9 @@ merged into the output file under "<workload>/trace<T>":
         --workload fuzz --seeds 11-20 --out BENCH_3.json
 
 A pair is won when the change's value is better in the direction
-BENCHMARK.json gives the metric; ties count for neither side.
+BENCHMARK.json gives the metric; ties count for neither side. The summary
+also totals each side's failed and attempted operations ("runs"), and the
+script exits 1, after writing the file, if any run was not correct.
 
 Each side runs with its own fresh bytecode cache (PYTHONPYCACHEPREFIX, a new
 temporary directory per side per invocation, inherited by the CLI processes
@@ -64,6 +66,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         out[metric] = {"parent": quartiles(parent), "change": quartiles(change),
                        "change_wins": wins, "pairs": len(pairs)}
+    out["runs"] = {side: {key: sum(p[side][key] for p in pairs)
+                          for key in ("failed", "attempted")}
+                   for side in ("parent", "change")}
     return out
 
 
@@ -108,6 +113,11 @@ def main() -> int:
                    f"--trace {args.trace}",
         "seeds": list(seeds), "pairs": pairs, "summary": summarize(pairs, better)}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    wrong = [f"{side} seed {p['seed']}" for p in pairs for side in sides
+             if not p[side]["correct"]]
+    if wrong:
+        print("bench_pairs: not correct: " + ", ".join(wrong), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,12 +12,13 @@ plain left folds (`reduce(add, xs, 0.0)` or a `+=` loop), never `sum()`,
 which compensates float sums from Python 3.12 on: the seeded ascent's
 output bytes depend on the order of every addition. The float objective
 shares `elementary_symmetric` with the exact checkers and has the prefix
-kernels of `symineq.symfun` to itself; its gradient refolds only the terms
-that hold the moved coordinate, in the objective's order. The ascent works
-on plain lists. Both harnesses take their settings as plain arguments and
-return only what they computed, as named tuples (`FuzzReport`,
-`SearchResult`); describing a run's inputs is the caller's job. Bad
-arguments raise `InputError`.
+kernels of `symineq.symfun` to itself: their recurrence over whole levels
+scores a point, and in place, at the subsets that hold x_i, the gradient's
+moved points (`moved_terms`). A float rhs that underflows to 0 gives a NaN
+ratio, which the ascent rejects. The ascent works on plain lists. Both
+harnesses take their settings as plain arguments and return only what they
+computed, as named tuples (`FuzzReport`, `SearchResult`); describing a
+run's inputs is the caller's job. Bad arguments raise `InputError`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
 from symineq.inequality import Statement, Violation, lhs_main, main_sides, rhs_main
-from symineq.symfun import _moved_prefixes, _prefix_levels, elementary_symmetric, subset_prefixes
+from symineq.symfun import elementary_symmetric, moved_terms, subset_prefixes
 
 # Coordinates never drop below this during projection: the bound's domain is
 # strictly positive vectors, and float subset sums must stay away from 0.
@@ -170,18 +171,20 @@ class SearchResult(NamedTuple):
 def ratio_float(x: Sequence[float], k: int) -> float:
     """The float objective: lhs/rhs of the main bound at a positive point.
 
-    The lhs terms are added one by one in lexicographic subset order.
+    Its lhs terms are added one by one in lexicographic order; NaN if rhs is 0.
     """
-    products, sums, starts = subset_prefixes(x, k)
+    levels, starts = subset_prefixes(x, k)
     lhs = 0.0
-    for p, t, s in zip(products, sums, starts):
+    for p, t, s in zip(*levels[-1], starts):
         for a in x[s:]:
             lhs += p * a / (t + a)
-    return lhs / _rhs(x, k)
+    return _ratio(lhs, x, k)
 
 
-def _rhs(x: Sequence[float], k: int) -> float:
-    return (len(x) / k) * elementary_symmetric(x, k) / reduce(add, x, 0.0)
+def _ratio(lhs: float, x: Sequence[float], k: int) -> float:
+    """lhs over the float rhs of the main bound at x, or NaN where that rhs is 0."""
+    rhs = (len(x) / k) * elementary_symmetric(x, k) / reduce(add, x, 0.0)
+    return lhs / rhs if rhs else math.nan
 
 
 def project_simplex(x: Sequence[float]) -> list[float]:
@@ -208,23 +211,18 @@ def project_simplex(x: Sequence[float]) -> list[float]:
 def finite_difference_gradient(x: Sequence[float], k: int) -> list[float]:
     """Central finite-difference gradient of ratio_float at x.
 
-    Each moved point refolds only the k-subsets that hold x_i
-    (`_moved_prefixes`), keeps x's other terms and folds them all in
+    Each moved point recomputes only the terms of the k-subsets that hold
+    x_i (`moved_terms`), keeps x's other terms and folds them all in
     ratio_float's order, so each side is ratio_float's value, bit for bit.
     """
-    levels, starts = _prefix_levels(x, k)
+    levels, starts = subset_prefixes(x, k)
     terms = [p * a / (t + a) for p, t, s in zip(*levels[-1], starts) for a in x[s:]]
     g = []
     for i, xi in enumerate(x):
         hi = min(GRADIENT_STEP, 0.5 * xi)  # keep the perturbed point positive
         xs, sides = list(x), []
         for xs[i] in (xi + hi, xi - hi):
-            products, sums, (parents, indices, positions) = _moved_prefixes(levels, xs, i)
-            lhs = terms.copy()
-            for pos, q, a in zip(positions, parents, indices):
-                a = xs[a]
-                lhs[pos] = products[q] * a / (sums[q] + a)
-            sides.append(reduce(add, lhs, 0.0) / _rhs(xs, k))
+            sides.append(_ratio(reduce(add, moved_terms(levels, terms, xs, i), 0.0), xs, k))
         g.append((sides[0] - sides[1]) / (2.0 * hi))
     return g
 
@@ -266,6 +264,8 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
         x = project_simplex([r / total for r in raw])
 
     f = ratio_float(x, k)
+    if not f > 0:
+        raise InputError(f"the float ratio underflows at the start point for n={n} k={k}")
     trace = [f]
     converged = False
 

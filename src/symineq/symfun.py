@@ -9,11 +9,12 @@ denominators cleared) and the float objective. `products_by_sum` is the
 same recurrence on integers with every row keyed by subset sum, for the
 exact left side of the main bound and the k-subset side of the proof
 identity; one pass serves every requested k, since row j is the answer for
-k = j. `subset_prefixes` builds the products and sums of the (k-1)-subsets
-level by level (`_extend`), so a shared prefix is folded once, bit for bit
-as a left-to-right fold over each subset would give. The float gradient
-keeps every level (`_prefix_levels`) and, after one entry moves, rebuilds
-only the prefixes that hold it (`_moved_prefixes`) by the same recurrence.
+k = j. `subset_prefixes` builds the products and sums of the subset
+prefixes level by level, so a shared prefix is folded once, bit for bit as
+a left-to-right fold over each subset would give. Its recurrence has a
+second form next to it: after one entry moved, `moved_terms` runs it in
+place on copies of the levels, at the positions that hold that entry
+(`_coordinate_plan`). The gradient's oracle test holds the two equal.
 The brute-force oracles live in the tests. Every argument check raises
 `InputError`.
 """
@@ -33,11 +34,10 @@ def check_k(k: int, n: int) -> None:
         raise InputError(f"k must satisfy 0 < k <= n, got k={k} n={n}")
 
 
-# Bounded. The float objective needs one plan per (n, k); a process that
-# runs many searches keeps the 32 most recent. At n = 20 the plans of all k
-# hold about 33 MB, k = 10 5.2 MB. The gradient's per-coordinate tables, for
-# 2 (n, k) at most, add 24 MB at n = 20, k = 10, 1.3 MB at n = 16, k = 8 and
-# 0.14 MB at n = 13, k = 6 (tracemalloc).
+# Bounded. Only the float objective reaches it, one (n, k) per search; 32
+# plans cover every 1 < k < n of n = 3..9 (28). At n = 20 the plans of all k
+# hold about 33 MB, k = 10 5.2 MB; the gradient's tables (2 (n, k) at most)
+# add 23.3 MB at (20, 10), 1.4 MB at (16, 8), 0.14 MB at (13, 6) (tracemalloc).
 @lru_cache(maxsize=32)
 def _prefix_plan(n: int, k: int) -> tuple[tuple, tuple[int, ...]]:
     """The index plan of `subset_prefixes` for n entries and subset size k.
@@ -59,67 +59,66 @@ def _prefix_plan(n: int, k: int) -> tuple[tuple, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=2)
-def _coordinate_plan(n: int, k: int) -> tuple[tuple, ...]:
-    """Per coordinate i, (levels, completion): the plan cut to the subsets that hold i.
-
-    Each level keeps (parents, indices) of its entries that hold i, parent
-    positions counting on through the held entries of the level below; the
-    completion adds the k-subsets' lexicographic positions.
-    """
-    # the plan of n + 1 entries and k + 1 is this one followed by the k-subsets
-    levels, _ = _prefix_plan.__wrapped__(n + 1, k + 1)
-    plans = []
+def _coordinate_plan(n: int, k: int) -> tuple[tuple, tuple]:
+    """(plan, held): the plan of (n + 1, k + 1), which is this plan followed
+    by the k-subsets, and per coordinate i and plan level the positions
+    whose subset holds i."""
+    plan, _ = _prefix_plan.__wrapped__(n + 1, k + 1)
+    held = []
     for i in range(n):
-        tables, ranks, size = [], {}, 1  # ranks: held position -> rank, one level down
-        for parents, indices in levels:
-            held = [m for m, (q, a) in enumerate(zip(parents, indices)) if a == i or q in ranks]
-            tables.append((array("I", [parents[m] if indices[m] == i
-                                       else size + ranks[parents[m]] for m in held]),
-                           array("B" if n <= 256 else "I", [indices[m] for m in held])))
-            ranks, size = {m: r for r, m in enumerate(held)}, len(parents)
-        plans.append((tuple(tables[:-1]), (*tables[-1], array("I", held))))
-    return tuple(plans)
+        rows, below = [], set()
+        for parents, indices in plan:
+            rows.append(array("I", [m for m, (q, a) in enumerate(zip(parents, indices))
+                                    if a == i or q in below]))
+            below = set(rows[-1])
+        held.append(tuple(rows))
+    return plan, tuple(held)
 
 
-def _extend(products: list, sums: list, parents: Sequence[int], added: list) -> tuple:
-    """One level: entry m is entry parents[m] of the level before times, and plus, added[m]."""
-    return ([products[q] * a for q, a in zip(parents, added)],
-            [sums[q] + a for q, a in zip(parents, added)])
+def subset_prefixes(entries: Sequence, k: int) -> tuple[list, tuple[int, ...]]:
+    """(levels, starts): the (products, sums) of each plan level from
+    ([1], [0]) on, the last for the (k-1)-subsets that begin k-subsets.
 
-
-def _prefix_levels(entries: Sequence, k: int) -> tuple[list, tuple[int, ...]]:
-    """The (products, sums) of every `_prefix_plan` level, from ([1], [0]) on, and the starts."""
-    check_k(k, len(entries))
-    plan, starts = _prefix_plan(len(entries), k)
-    levels = [([1], [0])]
-    for parents, indices in plan:
-        levels.append(_extend(*levels[-1], parents, [entries[i] for i in indices]))
-    return levels, starts
-
-
-def _moved_prefixes(levels: list, entries: Sequence, i: int) -> tuple[list, list, tuple]:
-    """The last of `levels` followed by its prefixes that hold i, rebuilt after
-    entries[i] moved, and the completion of coordinate i (`_coordinate_plan`)."""
-    tables, completion = _coordinate_plan(len(entries), len(levels))[i]
-    products, sums = [], []
-    for (base_products, base_sums), (parents, indices) in zip(levels, tables):
-        products, sums = _extend(base_products + products, base_sums + sums, parents,
-                                 [entries[a] for a in indices])
-    return levels[-1][0] + products, levels[-1][1] + sums, completion
-
-
-def subset_prefixes(entries: Sequence, k: int) -> tuple[list, list, tuple[int, ...]]:
-    """(products, sums, starts) of the (k-1)-subsets that begin k-subsets.
-
-    Prefix q completed by each entry a of entries[starts[q]:], in turn, is a
-    k-subset with product products[q] * a and sum sums[q] + a; taken over q
+    Its prefix q completed by each entry a of entries[starts[q]:], in turn,
+    is a k-subset with product products[q] * a and sum sums[q] + a; over q
     in order, these are all k-subsets in lexicographic order. Each level is
     built from the one before, seeded from 1 and 0, so the products and sums
     match a left-to-right fold over each subset exactly, floats included
     (1 * a == a and 0 + a == a), while a shared prefix is folded once.
     """
-    levels, starts = _prefix_levels(entries, k)
-    return (*levels[-1], starts)
+    check_k(k, len(entries))
+    plan, starts = _prefix_plan(len(entries), k)
+    levels = [([1], [0])]
+    for parents, indices in plan:  # the recurrence over a whole level
+        products, sums = levels[-1]
+        added = [entries[i] for i in indices]
+        levels.append(([products[q] * a for q, a in zip(parents, added)],
+                       [sums[q] + a for q, a in zip(parents, added)]))
+    return levels, starts
+
+
+def moved_terms(levels: list, terms: list, entries: Sequence, i: int) -> list:
+    """The k-subset terms p * a / (t + a) of entries, which differ from x at
+    i only, given x's terms and levels (`subset_prefixes(x, k)[0]`).
+
+    Each level is copied from x's and rebuilt in place, by the operations of
+    `subset_prefixes`, at the positions that hold i; so are the terms.
+    """
+    plan, held = _coordinate_plan(len(entries), len(levels))
+    products, sums = levels[0]
+    for (base_products, base_sums), (parents, indices), positions in \
+            zip(levels[1:], plan, held[i]):
+        below_products, below_sums = products, sums
+        products, sums = base_products.copy(), base_sums.copy()
+        for m in positions:  # the recurrence in place, at the held positions
+            q, a = parents[m], entries[indices[m]]
+            products[m] = below_products[q] * a
+            sums[m] = below_sums[q] + a
+    (parents, indices), terms = plan[-1], terms.copy()
+    for m in held[i][-1]:
+        q, a = parents[m], entries[indices[m]]
+        terms[m] = products[q] * a / (sums[q] + a)
+    return terms
 
 
 def elementary_symmetric(v: Sequence, k: int):

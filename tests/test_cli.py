@@ -322,6 +322,8 @@ def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
         ("check", "--values", wide, "--k", "5", "--format", "json"),
         ("fuzz", "--n", "9" * 5000),
         ("fuzz", "--n", "1.." + "9" * 5000),
+        # the float rhs underflows at the start point
+        ("maximize", "--n", "150", "--k", "149", "--max-n", "150"),
         ("check", "--file", str(tmp_path / "no\nsuch"), "--k", "1"),
         ("check", "--file", str(bad_token), "--k", "1"),
         # echoed values: argparse, the library's k check, argparse again

@@ -321,6 +321,24 @@ def test_ratio_float_builds_no_coordinate_tables():
     assert _coordinate_plan.cache_info().currsize == 1
 
 
+def test_coordinate_tables_list_exactly_the_subsets_that_hold_i():
+    # a listed position that does not hold i recomputes an unchanged float,
+    # which the bit-for-bit tests cannot see
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            plan, held = _coordinate_plan(n, k)
+            subsets = [()]
+            for j, (parents, indices) in enumerate(plan, start=1):
+                subsets = [subsets[q] + (a,) for q, a in zip(parents, indices)]
+                assert subsets == [S for S in combinations(range(n), j)
+                                   if S[-1] < n - k + j]
+                for i in range(n):
+                    assert list(held[i][j - 1]) == \
+                        [m for m, S in enumerate(subsets) if i in S]
+            assert subsets == list(combinations(range(n), k))
+            assert len(held) == n
+
+
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 4)])
 def test_gradient_vanishes_at_uniform(n, k):
     g = finite_difference_gradient([1.0 / n] * n, k)
@@ -429,6 +447,14 @@ def test_maximize_budget_exhaustion_is_not_convergence():
     assert result.exact_ratio <= 1
 
 
+def test_maximize_rejects_a_candidate_whose_float_rhs_underflows():
+    # at n = 145, k = 144 the float rhs of a line-search candidate underflows
+    # to 0; the candidate scores NaN and is rejected, as a worse one would be
+    result = maximize_ratio(145, 144, max_iterations=1)
+    assert result.iterations == 1
+    assert result.exact_ratio <= 1
+
+
 def test_maximize_config_validation():
     with pytest.raises(InputError):
         maximize_ratio(4, 1)
@@ -448,3 +474,5 @@ def test_maximize_config_validation():
         maximize_ratio(3, 2, start=(math.inf, 1.0, 1.0))
     with pytest.raises(InputError):
         maximize_ratio(3, 2, start=(1e308, 1e308, 1e308))  # the sum overflows
+    with pytest.raises(InputError, match="n=150 k=149"):
+        maximize_ratio(150, 149)  # the float rhs underflows at the start

@@ -25,7 +25,8 @@ def test_subset_prefixes_match_subset_ops(v, data):
     # the shared kernel against brute-force enumeration, subset by subset:
     # every prefix, completed by each entry from its start on, in order
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    products, sums, starts = subset_prefixes(v, k)
+    levels, starts = subset_prefixes(v, k)
+    products, sums = levels[-1]
     completed = [(p * a, t + a)
                  for p, t, s in zip(products, sums, starts) for a in v[s:]]
     expected = [(math.prod(s), sum(s)) for s in combinations(v, k)]
@@ -33,10 +34,12 @@ def test_subset_prefixes_match_subset_ops(v, data):
 
 
 def test_subset_prefixes_frozen():
-    # the 2-subsets of (2, 3, 5, 7) that begin 3-subsets, then k = 1 and k = n
-    assert subset_prefixes([2, 3, 5, 7], 3) == ([6, 10, 15], [5, 7, 8], (2, 3, 3))
-    assert subset_prefixes([2, 3, 5], 1) == ([1], [0], (0,))
-    assert subset_prefixes([2, 3, 5], 3) == ([6], [5], (2,))
+    # every level of (2, 3, 5, 7) up to the 2-subsets that begin 3-subsets,
+    # then k = 1 and k = n
+    assert subset_prefixes([2, 3, 5, 7], 3) == \
+        ([([1], [0]), ([2, 3], [2, 3]), ([6, 10, 15], [5, 7, 8])], (2, 3, 3))
+    assert subset_prefixes([2, 3, 5], 1) == ([([1], [0])], (0,))
+    assert subset_prefixes([2, 3, 5], 3) == ([([1], [0]), ([2], [2]), ([6], [5])], (2,))
     with pytest.raises(InputError):
         subset_prefixes([1, 2], 3)
 
