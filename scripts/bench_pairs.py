@@ -50,6 +50,18 @@ def run_side(root: Path, workload: str, seed: int, trace: int, env: dict) -> dic
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
+def seed_range(text: str) -> range:
+    """LO-HI (or one seed) as the seeds LO..HI; argparse reports a bad one."""
+    lo, dash, hi = text.partition("-")
+    try:
+        seeds = range(int(lo), int(hi if dash else lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO-HI, got {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
 def quartiles(values: list[float]) -> dict:
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -77,13 +89,11 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", choices=("sweep", "fuzz", "maximize"), required=True)
-    parser.add_argument("--seeds", required=True, metavar="LO-HI")
+    parser.add_argument("--seeds", type=seed_range, required=True, metavar="LO-HI")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
-    lo, _, hi = args.seeds.partition("-")
-    seeds = range(int(lo), int(hi or lo) + 1)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     kind = "per_layer" if args.trace else "end_to_end"
     better = {m["name"]: m["better"] for m in spec[kind]}
@@ -96,7 +106,7 @@ def main() -> int:
         for side, cache in (("parent", parent_cache), ("change", change_cache)):
             envs[side] = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
             envs[side].pop("PYTHONDONTWRITEBYTECODE", None)
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
@@ -111,7 +121,7 @@ def main() -> int:
     doc[f"{args.workload}/trace{args.trace}"] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
                    f"--trace {args.trace}",
-        "seeds": list(seeds), "pairs": pairs, "summary": summarize(pairs, better)}
+        "seeds": list(args.seeds), "pairs": pairs, "summary": summarize(pairs, better)}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     wrong = [f"{side} seed {p['seed']}" for p in pairs for side in sides
              if not p[side]["correct"]]

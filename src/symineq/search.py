@@ -11,11 +11,12 @@ This is the only module that touches floating point. Its float sums are
 plain left folds (`reduce(add, xs, 0.0)` or a `+=` loop), never `sum()`,
 which compensates float sums from Python 3.12 on: the seeded ascent's
 output bytes depend on the order of every addition. The float objective
-shares `elementary_symmetric` with the exact checkers and has the prefix
-kernels of `symineq.symfun` to itself: their recurrence over whole levels
-scores a point, and in place, at the subsets that hold x_i, the gradient's
-moved points (`moved_terms`). A float rhs that underflows to 0 gives a NaN
-ratio, which the ascent rejects. The ascent works on plain lists. Both
+shares `elementary_symmetric` with the exact checkers and has the subset
+term kernels of `symineq.symfun` to itself: `subset_terms` over whole
+levels for a point, `moved_terms` in place, at the subsets that hold x_i,
+for the gradient's moved points. A float rhs below the normal range gives
+a NaN ratio, which the ascent rejects; a gradient that is not finite ends
+the ascent unconverged. The ascent works on plain lists. Both
 harnesses take their settings as plain arguments and return only what they
 computed, as named tuples (`FuzzReport`, `SearchResult`); describing a
 run's inputs is the caller's job. Bad arguments raise `InputError`.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
@@ -33,7 +35,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
 from symineq.inequality import Statement, Violation, lhs_main, main_sides, rhs_main
-from symineq.symfun import elementary_symmetric, moved_terms, subset_prefixes
+from symineq.symfun import elementary_symmetric, moved_terms, subset_terms
 
 # Coordinates never drop below this during projection: the bound's domain is
 # strictly positive vectors, and float subset sums must stay away from 0.
@@ -171,20 +173,16 @@ class SearchResult(NamedTuple):
 def ratio_float(x: Sequence[float], k: int) -> float:
     """The float objective: lhs/rhs of the main bound at a positive point.
 
-    Its lhs terms are added one by one in lexicographic order; NaN if rhs is 0.
+    Its lhs terms are added one by one in lexicographic order; NaN as _ratio.
     """
-    levels, starts = subset_prefixes(x, k)
-    lhs = 0.0
-    for p, t, s in zip(*levels[-1], starts):
-        for a in x[s:]:
-            lhs += p * a / (t + a)
-    return _ratio(lhs, x, k)
+    return _ratio(reduce(add, subset_terms(x, k)[1], 0.0), x, k)
 
 
 def _ratio(lhs: float, x: Sequence[float], k: int) -> float:
-    """lhs over the float rhs of the main bound at x, or NaN where that rhs is 0."""
+    """lhs over the float rhs of the main bound at x, or NaN where that rhs is
+    subnormal or 0: it has lost the bits that would rank two points."""
     rhs = (len(x) / k) * elementary_symmetric(x, k) / reduce(add, x, 0.0)
-    return lhs / rhs if rhs else math.nan
+    return lhs / rhs if rhs >= sys.float_info.min else math.nan
 
 
 def project_simplex(x: Sequence[float]) -> list[float]:
@@ -215,8 +213,7 @@ def finite_difference_gradient(x: Sequence[float], k: int) -> list[float]:
     x_i (`moved_terms`), keeps x's other terms and folds them all in
     ratio_float's order, so each side is ratio_float's value, bit for bit.
     """
-    levels, starts = subset_prefixes(x, k)
-    terms = [p * a / (t + a) for p, t, s in zip(*levels[-1], starts) for a in x[s:]]
+    levels, terms = subset_terms(x, k)
     g = []
     for i, xi in enumerate(x):
         hi = min(GRADIENT_STEP, 0.5 * xi)  # keep the perturbed point positive
@@ -274,6 +271,8 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
         mean = reduce(add, g, 0.0) / n
         g = [gi - mean for gi in g]
         norm = math.sqrt(reduce(add, [gi * gi for gi in g], 0.0))
+        if not math.isfinite(norm):  # no direction to climb; not convergence
+            break
         if norm <= convergence_tolerance:
             converged = True
             break

@@ -1,5 +1,5 @@
 """Combinatorial kernels: elementary symmetric polynomials, products grouped
-by subset sum, and shared subset prefixes.
+by subset sum, and subset terms over shared prefixes.
 
 Subsets are canonical strictly-increasing index tuples in lexicographic
 order; the seeded float objective's bytes rely on it, no exact result does.
@@ -9,12 +9,13 @@ denominators cleared) and the float objective. `products_by_sum` is the
 same recurrence on integers with every row keyed by subset sum, for the
 exact left side of the main bound and the k-subset side of the proof
 identity; one pass serves every requested k, since row j is the answer for
-k = j. `subset_prefixes` builds the products and sums of the subset
-prefixes level by level, so a shared prefix is folded once, bit for bit as
-a left-to-right fold over each subset would give. Its recurrence has a
-second form next to it: after one entry moved, `moved_terms` runs it in
-place on copies of the levels, at the positions that hold that entry
-(`_coordinate_plan`). The gradient's oracle test holds the two equal.
+k = j. `subset_terms` gives the float objective's terms prod(S)/sum(S)
+from the products and sums of the subset prefixes, built level by level,
+so a shared prefix is folded once, bit for bit as a left-to-right fold
+over each subset would give. Its recurrence has a second form next to it:
+after one entry moved, `moved_terms` runs it in place on copies, at the
+positions that hold that entry (`_coordinate_plan`). One plan serves both,
+and the gradient's oracle test holds them equal.
 The brute-force oracles live in the tests. Every argument check raises
 `InputError`.
 """
@@ -36,78 +37,77 @@ def check_k(k: int, n: int) -> None:
 
 # Bounded. Only the float objective reaches it, one (n, k) per search; 32
 # plans cover every 1 < k < n of n = 3..9 (28). At n = 20 the plans of all k
-# hold about 33 MB, k = 10 5.2 MB; the gradient's tables (2 (n, k) at most)
-# add 23.3 MB at (20, 10), 1.4 MB at (16, 8), 0.14 MB at (13, 6) (tracemalloc).
+# hold 59 MiB, k = 10 9.8 MiB; the gradient's tables add 12.4 MiB there.
 @lru_cache(maxsize=32)
-def _prefix_plan(n: int, k: int) -> tuple[tuple, tuple[int, ...]]:
-    """The index plan of `subset_prefixes` for n entries and subset size k.
+def _prefix_plan(n: int, k: int) -> tuple:
+    """The index plan of `subset_terms` for n entries and subset size k.
 
     Level j lists the j-subsets, in lexicographic order, that k - j larger
     indices can still complete: for each, the position of its (j-1)-subset
-    in the level before and the index it adds. The last level's starts are
-    one past each (k-1)-subset's largest index. The plan is O(C(n, k-1)).
+    in the level before and the index it adds. Level k lists the k-subsets.
+    The plan is O(C(n, k)).
     """
     levels = []
-    starts: tuple[int, ...] = (0,)
-    for j in range(1, k):
+    lows: tuple[int, ...] = (0,)  # the lowest index each subset can add
+    for j in range(1, k + 1):
         limit = n - k + j  # indices below this leave k - j entries to come
-        parents = tuple(q for q, s in enumerate(starts) for _ in range(s, limit))
-        indices = tuple(i for s in starts for i in range(s, limit))
+        parents = tuple(q for q, low in enumerate(lows) for _ in range(low, limit))
+        indices = tuple(i for low in lows for i in range(low, limit))
         levels.append((parents, indices))
-        starts = tuple(i + 1 for i in indices)
-    return tuple(levels), starts
+        lows = tuple(i + 1 for i in indices)
+    return tuple(levels)
 
 
 @lru_cache(maxsize=2)
-def _coordinate_plan(n: int, k: int) -> tuple[tuple, tuple]:
-    """(plan, held): the plan of (n + 1, k + 1), which is this plan followed
-    by the k-subsets, and per coordinate i and plan level the positions
-    whose subset holds i."""
-    plan, _ = _prefix_plan.__wrapped__(n + 1, k + 1)
+def _coordinate_plan(n: int, k: int) -> tuple:
+    """Per coordinate i and plan level, the positions whose subset holds i."""
     held = []
     for i in range(n):
         rows, below = [], set()
-        for parents, indices in plan:
+        for parents, indices in _prefix_plan(n, k):
             rows.append(array("I", [m for m, (q, a) in enumerate(zip(parents, indices))
                                     if a == i or q in below]))
             below = set(rows[-1])
         held.append(tuple(rows))
-    return plan, tuple(held)
+    return tuple(held)
 
 
-def subset_prefixes(entries: Sequence, k: int) -> tuple[list, tuple[int, ...]]:
-    """(levels, starts): the (products, sums) of each plan level from
-    ([1], [0]) on, the last for the (k-1)-subsets that begin k-subsets.
+def subset_terms(entries: Sequence, k: int) -> tuple[list, list]:
+    """(levels, terms): the (products, sums) of plan levels 0..k-1, from
+    ([1], [0]) on, and the k-subsets' terms prod(S)/sum(S), in plan order,
+    which is lexicographic.
 
-    Its prefix q completed by each entry a of entries[starts[q]:], in turn,
-    is a k-subset with product products[q] * a and sum sums[q] + a; over q
-    in order, these are all k-subsets in lexicographic order. Each level is
-    built from the one before, seeded from 1 and 0, so the products and sums
-    match a left-to-right fold over each subset exactly, floats included
-    (1 * a == a and 0 + a == a), while a shared prefix is folded once.
+    Each level is built from the one before, seeded from 1 and 0, so the
+    products and sums match a left-to-right fold over each subset exactly,
+    floats included (1 * a == a and 0 + a == a), while a shared prefix is
+    folded once; each term is completed from its (k-1)-prefix the same way.
     """
     check_k(k, len(entries))
-    plan, starts = _prefix_plan(len(entries), k)
+    plan = _prefix_plan(len(entries), k)
     levels = [([1], [0])]
-    for parents, indices in plan:  # the recurrence over a whole level
+    for parents, indices in plan[:-1]:  # the recurrence over a whole level
         products, sums = levels[-1]
         added = [entries[i] for i in indices]
         levels.append(([products[q] * a for q, a in zip(parents, added)],
                        [sums[q] + a for q, a in zip(parents, added)]))
-    return levels, starts
+    (parents, indices), (products, sums) = plan[-1], levels[-1]
+    terms = [products[q] * a / (sums[q] + a)
+             for q, a in zip(parents, [entries[i] for i in indices])]
+    return levels, terms
 
 
 def moved_terms(levels: list, terms: list, entries: Sequence, i: int) -> list:
-    """The k-subset terms p * a / (t + a) of entries, which differ from x at
-    i only, given x's terms and levels (`subset_prefixes(x, k)[0]`).
+    """The k-subset terms of entries, which differ from x at i only, given
+    x's levels and terms (`subset_terms(x, k)`).
 
     Each level is copied from x's and rebuilt in place, by the operations of
-    `subset_prefixes`, at the positions that hold i; so are the terms.
+    `subset_terms`, at the positions that hold i; so are the terms.
     """
-    plan, held = _coordinate_plan(len(entries), len(levels))
+    n, k = len(entries), len(levels)
+    plan, held = _prefix_plan(n, k), _coordinate_plan(n, k)[i]
     products, sums = levels[0]
     for (base_products, base_sums), (parents, indices), positions in \
-            zip(levels[1:], plan, held[i]):
+            zip(levels[1:], plan, held):
         below_products, below_sums = products, sums
         products, sums = base_products.copy(), base_sums.copy()
         for m in positions:  # the recurrence in place, at the held positions
@@ -115,7 +115,7 @@ def moved_terms(levels: list, terms: list, entries: Sequence, i: int) -> list:
             products[m] = below_products[q] * a
             sums[m] = below_sums[q] + a
     (parents, indices), terms = plan[-1], terms.copy()
-    for m in held[i][-1]:
+    for m in held[-1]:
         q, a = parents[m], entries[indices[m]]
         terms[m] = products[q] * a / (sums[q] + a)
     return terms

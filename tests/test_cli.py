@@ -25,6 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
+BENCH_PAIRS = Path(__file__).parent.parent / "scripts" / "bench_pairs.py"
 
 
 def run_cli(*args):
@@ -82,6 +83,24 @@ def test_benchmark_tracer_wraps_every_span_target(capsys):
     assert all(getattr(module, name) is fn for module, name, fn in originals)
     assert tracer.summary()["inequality.lhs_main.calls"] == 1
     assert capsys.readouterr().out.startswith("MainTheorem n=3 k=2")
+
+
+def test_bench_pairs_refuses_a_malformed_seed_range(monkeypatch, capsys, tmp_path):
+    # a bad range is a usage error (exit 2) before any run, not a traceback
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    assert bench_pairs.seed_range("11-20") == range(11, 21)
+    assert bench_pairs.seed_range("7") == range(7, 8)
+    for seeds in ("10-5", "1..3", "", "5-", "a-b"):
+        monkeypatch.setattr(sys, "argv", [
+            "bench_pairs.py", "--parent", str(tmp_path), "--change", str(tmp_path),
+            "--workload", "sweep", "--seeds", seeds, "--out", str(tmp_path / "out.json")])
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main()
+        assert exit_info.value.code == 2, seeds
+        assert "error: argument --seeds: " in capsys.readouterr().err, seeds
+    assert not (tmp_path / "out.json").exists()
 
 
 def readme_examples():

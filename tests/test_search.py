@@ -21,7 +21,7 @@ from symineq.search import (
     project_simplex,
     ratio_float,
 )
-from symineq.symfun import _coordinate_plan, elementary_symmetric
+from symineq.symfun import _coordinate_plan, _prefix_plan, elementary_symmetric
 
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
 vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
@@ -326,7 +326,7 @@ def test_coordinate_tables_list_exactly_the_subsets_that_hold_i():
     # which the bit-for-bit tests cannot see
     for n in range(1, 9):
         for k in range(1, n + 1):
-            plan, held = _coordinate_plan(n, k)
+            plan, held = _prefix_plan(n, k), _coordinate_plan(n, k)
             subsets = [()]
             for j, (parents, indices) in enumerate(plan, start=1):
                 subsets = [subsets[q] + (a,) for q, a in zip(parents, indices)]
@@ -447,12 +447,30 @@ def test_maximize_budget_exhaustion_is_not_convergence():
     assert result.exact_ratio <= 1
 
 
-def test_maximize_rejects_a_candidate_whose_float_rhs_underflows():
-    # at n = 145, k = 144 the float rhs of a line-search candidate underflows
-    # to 0; the candidate scores NaN and is rejected, as a worse one would be
-    result = maximize_ratio(145, 144, max_iterations=1)
+def test_maximize_rejects_a_candidate_whose_float_rhs_underflows(monkeypatch):
+    # at n = 141, k = 140 the float rhs of the long line-search candidates
+    # falls below the normal range; they score NaN and are rejected, as a
+    # worse one would be
+    scores = []
+
+    def recorded(x, k):
+        scores.append(ratio_float(x, k))
+        return scores[-1]
+
+    monkeypatch.setattr("symineq.search.ratio_float", recorded)
+    result = maximize_ratio(141, 140, max_iterations=1, step_size=1e3)
+    assert any(math.isnan(f) for f in scores)
     assert result.iterations == 1
     assert result.exact_ratio <= 1
+
+
+def test_maximize_nan_gradient_is_not_convergence(monkeypatch):
+    monkeypatch.setattr("symineq.search.finite_difference_gradient",
+                        lambda x, k: [math.nan] * len(x))
+    result = maximize_ratio(5, 3)
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.exact_ratio <= 1  # re-certified all the same
 
 
 def test_maximize_config_validation():
@@ -476,3 +494,5 @@ def test_maximize_config_validation():
         maximize_ratio(3, 2, start=(1e308, 1e308, 1e308))  # the sum overflows
     with pytest.raises(InputError, match="n=150 k=149"):
         maximize_ratio(150, 149)  # the float rhs underflows at the start
+    with pytest.raises(InputError, match="n=146 k=145"):
+        maximize_ratio(146, 145, max_iterations=3)  # ... to a subnormal

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symineq.exact import InputError, make_vector
-from symineq.symfun import elementary_symmetric, products_by_sum, subset_prefixes
+from symineq.symfun import elementary_symmetric, products_by_sum, subset_terms
 
 entry = st.fractions(min_value=Fraction(1, 100), max_value=100)
 vectors = st.lists(entry, min_size=1, max_size=8).map(make_vector)
@@ -22,26 +22,27 @@ def ek_brute(v, k):
 
 @given(vectors, st.data())
 def test_subset_prefixes_match_subset_ops(v, data):
-    # the shared kernel against brute-force enumeration, subset by subset:
-    # every prefix, completed by each entry from its start on, in order
-    k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    levels, starts = subset_prefixes(v, k)
-    products, sums = levels[-1]
-    completed = [(p * a, t + a)
-                 for p, t, s in zip(products, sums, starts) for a in v[s:]]
-    expected = [(math.prod(s), sum(s)) for s in combinations(v, k)]
-    assert completed == expected
+    # the shared kernel against brute-force enumeration, subset by subset,
+    # in lexicographic order: each level's prefixes, then the k-subset terms
+    n, k = len(v), data.draw(st.integers(min_value=1, max_value=len(v)))
+    levels, terms = subset_terms(v, k)
+    for j, level in enumerate(levels):
+        prefixes = [[v[i] for i in S] for S in combinations(range(n), j)
+                    if not S or S[-1] < n - k + j]
+        assert level == ([math.prod(S) for S in prefixes], [sum(S) for S in prefixes])
+    assert len(levels) == k
+    assert terms == [math.prod(S) / sum(S) for S in combinations(v, k)]
 
 
 def test_subset_prefixes_frozen():
     # every level of (2, 3, 5, 7) up to the 2-subsets that begin 3-subsets,
-    # then k = 1 and k = n
-    assert subset_prefixes([2, 3, 5, 7], 3) == \
-        ([([1], [0]), ([2, 3], [2, 3]), ([6, 10, 15], [5, 7, 8])], (2, 3, 3))
-    assert subset_prefixes([2, 3, 5], 1) == ([([1], [0])], (0,))
-    assert subset_prefixes([2, 3, 5], 3) == ([([1], [0]), ([2], [2]), ([6], [5])], (2,))
+    # and the 3-subsets' terms; then k = 1 and k = n
+    assert subset_terms([2, 3, 5, 7], 3) == \
+        ([([1], [0]), ([2, 3], [2, 3]), ([6, 10, 15], [5, 7, 8])], [3.0, 3.5, 5.0, 7.0])
+    assert subset_terms([2, 3, 5], 1) == ([([1], [0])], [1.0, 1.0, 1.0])
+    assert subset_terms([2, 3, 5], 3) == ([([1], [0]), ([2], [2]), ([6], [5])], [3.0])
     with pytest.raises(InputError):
-        subset_prefixes([1, 2], 3)
+        subset_terms([1, 2], 3)
 
 
 # ---- elementary symmetric polynomials ----
