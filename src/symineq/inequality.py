@@ -23,7 +23,11 @@ the pass pruned to one k; `main_reports` checks many k's of one vector
 from one pass, whose row k gives lhs and, summed, e_k for rhs. The
 k-subset side of the proof identity is the same dynamic program, while the
 other side keeps its own enumeration of the (k+1)-subsets, so the identity
-cross-checks the one against the other. The reciprocal lemma uses the same
+cross-checks the one against the other. `main_verdict` reads only the sign
+of the main slack, from the proof's certificate: by AM-HM each k-subset
+sum s carries an integer G(s) >= 0, and the slack is 0 exactly when they
+all are (below the total), so the sign needs no Fraction and no gcd. The
+reciprocal lemma uses the same
 integer form; the pairwise lemma stays a literal double loop, the
 cross-check of the main bound at k = 2. An argument outside a statement's
 domain (k outside 1..n, or n < 2 for the lemmas) raises `InputError`.
@@ -38,7 +42,11 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from symineq.exact import InputError, PositiveVector, render_scalar
-from symineq.symfun import elementary_symmetric, products_by_sum
+from symineq.symfun import (
+    elementary_symmetric,
+    products_and_cofactors_by_sum,
+    products_by_sum,
+)
 
 
 class Statement(Enum):
@@ -185,6 +193,33 @@ def main_reports(v: PositiveVector, ks: Sequence[int]) -> Iterator[InequalityRep
     of the k's before it have been yielded."""
     for k, lhs, rhs in main_sides(v, ks):
         yield _report(Statement.MAIN_THEOREM, v, k, lhs, rhs)
+
+
+def _certificate(ints: Sequence[int], k: int) -> dict[int, int]:
+    """G(s) = s*E(s) - k^2*P(s) for each k-subset sum s of the integers
+    (`products_and_cofactors_by_sum`): the group total of
+    G_T = sum(T)*e_{k-1}(T) - k^2*prod(T) = prod(T)*(sum(T)*sum(1/T) - k^2),
+    which AM-HM makes >= 0 on every k-subset T."""
+    square = k * k
+    return {s: s * e - square * p
+            for s, (p, e) in products_and_cofactors_by_sum(ints, k).items()}
+
+
+def main_verdict(v: PositiveVector, k: int) -> int:
+    """The sign of check_main(v, k).slack: 1, or 0 at equality.
+
+    On the integer form b = v*L with B = sum(b), the proof gives
+    rhs - lhs = sum_s (B - s) * G(s)/s / (k^2 * B * L^(k-1)) (`_certificate`),
+    every G(s) an integer >= 0; so the slack is 0 exactly when G(s) = 0 at
+    every s < B, and no side is reduced. A negative G(s) would be a bug: the
+    verdict then falls back on `check_main`, which raises Violation if the
+    exact lhs exceeds rhs.
+    """
+    ints, _ = _integer_form(v)
+    total, certificate = sum(ints), _certificate(ints, k)
+    if min(certificate.values()) < 0:
+        return 0 if check_main(v, k).is_equality else 1
+    return 1 if any(g for s, g in certificate.items() if s < total) else 0
 
 
 # --------------------------------------------------------------------------

@@ -8,15 +8,19 @@ then re-certifying the final iterate exactly. A fuzz trial checks all of its
 k's on one vector from one subset-sum dynamic program pass.
 
 This is the only module that touches floating point. Its float sums are
-plain left folds (`reduce(add, xs, 0.0)` or a `+=` loop), never `sum()`,
+left folds (`left_sum`, in C by `itertools.accumulate`), never `sum()`,
 which compensates float sums from Python 3.12 on: the seeded ascent's
 output bytes depend on the order of every addition. The float objective
-shares `elementary_symmetric` with the exact checkers and has the subset
-term kernels of `symineq.symfun` to itself: `subset_terms` over whole
-levels for a point, `moved_terms` in place, at the subsets that hold x_i,
-for the gradient's moved points. A float rhs below the normal range gives
-a NaN ratio, which the ascent rejects; a gradient that is not finite ends
-the ascent unconverged. The ascent works on plain lists. Both
+shares the e_k row recurrence (`symmetric_row`) with the exact checkers
+and has the subset term kernels of `symineq.symfun` to itself:
+`subset_terms` over whole levels for a point, `moved_terms` in place, at
+the subsets that hold x_i, for the gradient's moved points, whose e_k and
+sum resume from the point's rows and partial sums before x_i. The gradient
+reuses the terms `ratio_float` last built, at the same float bits. A float
+rhs below the normal range gives a NaN ratio, which the ascent rejects; a
+gradient that is not finite ends the ascent unconverged. The final point
+is re-certified by the proof's certificate (`inequality.main_verdict`),
+with neither side reduced. The ascent works on plain lists. Both
 harnesses take their settings as plain arguments and return only what they
 computed, as named tuples (`FuzzReport`, `SearchResult`); describing a
 run's inputs is the caller's job. Bad arguments raise `InputError`.
@@ -27,15 +31,16 @@ from __future__ import annotations
 import math
 import random
 import sys
-from collections import namedtuple
+from array import array
+from collections import deque, namedtuple
 from fractions import Fraction
-from functools import reduce
-from operator import add
-from typing import NamedTuple, Optional, Sequence, Union
+from functools import lru_cache
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
-from symineq.inequality import Statement, Violation, lhs_main, main_sides, rhs_main
-from symineq.symfun import elementary_symmetric, moved_terms, subset_terms
+from symineq.inequality import main_sides, main_verdict
+from symineq.symfun import elementary_symmetric, moved_terms, subset_terms, symmetric_row
 
 # Coordinates never drop below this during projection: the bound's domain is
 # strictly positive vectors, and float subset sums must stay away from 0.
@@ -167,7 +172,18 @@ class SearchResult(NamedTuple):
     iterations: int
     converged: bool
     trace: tuple[float, ...]
-    exact_ratio: Fraction
+
+
+def left_sum(xs: Iterable[float], start: float = 0.0) -> float:
+    """((start + x_0) + x_1) + ...: the left fold of reduce(add, xs, start)."""
+    return deque(accumulate(xs, initial=start), maxlen=1)[0]
+
+
+# One point: the gradient at the point ratio_float saw last reuses its terms.
+@lru_cache(maxsize=1)
+def _subset_terms_at(point: bytes, k: int) -> tuple[list, list]:
+    """subset_terms of the floats whose exact bits are `point`."""
+    return subset_terms(array("d", point).tolist(), k)
 
 
 def ratio_float(x: Sequence[float], k: int) -> float:
@@ -175,13 +191,15 @@ def ratio_float(x: Sequence[float], k: int) -> float:
 
     Its lhs terms are added one by one in lexicographic order; NaN as _ratio.
     """
-    return _ratio(reduce(add, subset_terms(x, k)[1], 0.0), x, k)
+    lhs = left_sum(_subset_terms_at(array("d", x).tobytes(), k)[1])
+    return _ratio(lhs, elementary_symmetric(x, k), left_sum(x), len(x), k)
 
 
-def _ratio(lhs: float, x: Sequence[float], k: int) -> float:
-    """lhs over the float rhs of the main bound at x, or NaN where that rhs is
-    subnormal or 0: it has lost the bits that would rank two points."""
-    rhs = (len(x) / k) * elementary_symmetric(x, k) / reduce(add, x, 0.0)
+def _ratio(lhs: float, ek: float, total: float, n: int, k: int) -> float:
+    """lhs over the float rhs of the main bound, (n/k) * e_k / total, or NaN
+    where that rhs is subnormal or 0: it has lost the bits that would rank
+    two points."""
+    rhs = (n / k) * ek / total
     return lhs / rhs if rhs >= sys.float_info.min else math.nan
 
 
@@ -211,15 +229,24 @@ def finite_difference_gradient(x: Sequence[float], k: int) -> list[float]:
 
     Each moved point recomputes only the terms of the k-subsets that hold
     x_i (`moved_terms`), keeps x's other terms and folds them all in
-    ratio_float's order, so each side is ratio_float's value, bit for bit.
+    ratio_float's order; its e_k row recurrence and its sum resume from x's
+    rows and partial sums before i. So each side is ratio_float's value,
+    bit for bit.
     """
-    levels, terms = subset_terms(x, k)
+    n = len(x)
+    levels, terms = _subset_terms_at(array("d", x).tobytes(), k)
+    rows = [[1] + [0] * k]  # rows[i]: the e_0..e_k row of x[:i]
+    for m in range(n):
+        rows.append(symmetric_row(x[:m + 1], rows[-1].copy(), m))
+    sums = list(accumulate(x, initial=0.0))  # sums[i]: the left fold of x[:i]
     g = []
     for i, xi in enumerate(x):
         hi = min(GRADIENT_STEP, 0.5 * xi)  # keep the perturbed point positive
         xs, sides = list(x), []
         for xs[i] in (xi + hi, xi - hi):
-            sides.append(_ratio(reduce(add, moved_terms(levels, terms, xs, i), 0.0), xs, k))
+            sides.append(_ratio(left_sum(moved_terms(levels, terms, xs, i)),
+                                symmetric_row(xs, rows[i].copy(), i)[k],
+                                left_sum(xs[i:], sums[i]), n, k))
         g.append((sides[0] - sides[1]) / (2.0 * hi))
     return g
 
@@ -237,8 +264,9 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
     the recorded trace is nondecreasing. Convergence means the projected
     gradient fell below the tolerance or no float-resolvable ascent step
     remains. The final point is rationalized coordinate-by-coordinate
-    (exact binary value of each float) and re-certified exactly; an exact
-    ratio above 1 would falsify the bound and raises Violation.
+    (exact binary value of each float) and re-certified exactly by
+    `main_verdict`; an exact ratio above 1 would falsify the bound and
+    raises Violation.
     """
     if not 1 < k < n:
         raise InputError(f"maximization needs 1 < k < n, got k={k} n={n}")
@@ -251,13 +279,13 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
     if start is not None:
         if len(start) != n:
             raise InputError(f"start point has length {len(start)}, expected {n}")
-        if not all(math.isfinite(t) and t > 0 for t in (*start, reduce(add, start, 0.0))):
+        if not all(math.isfinite(t) and t > 0 for t in (*start, left_sum(start))):
             raise InputError("start point and its sum must be finite and strictly positive")
         x = project_simplex(start)
     else:
         rng = random.Random(seed)
         raw = [0.1 + 0.9 * rng.random() for _ in range(n)]
-        total = reduce(add, raw, 0.0)
+        total = left_sum(raw)
         x = project_simplex([r / total for r in raw])
 
     f = ratio_float(x, k)
@@ -268,9 +296,9 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
 
     for _ in range(max_iterations):
         g = finite_difference_gradient(x, k)
-        mean = reduce(add, g, 0.0) / n
+        mean = left_sum(g) / n
         g = [gi - mean for gi in g]
-        norm = math.sqrt(reduce(add, [gi * gi for gi in g], 0.0))
+        norm = math.sqrt(left_sum([gi * gi for gi in g]))
         if not math.isfinite(norm):  # no direction to climb; not convergence
             break
         if norm <= convergence_tolerance:
@@ -289,11 +317,7 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
             converged = True
             break
 
-    exact_point = make_vector([Fraction(xi) for xi in x])
-    exact_lhs = lhs_main(exact_point, k)
-    exact_rhs = rhs_main(exact_point, k)
-    if exact_lhs > exact_rhs:
-        raise Violation(Statement.MAIN_THEOREM, exact_point, k, exact_lhs, exact_rhs)
+    main_verdict(make_vector([Fraction(xi) for xi in x]), k)
 
     return SearchResult(
         argmax=tuple(x),
@@ -301,5 +325,4 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
         iterations=len(trace) - 1,
         converged=converged,
         trace=tuple(trace),
-        exact_ratio=exact_lhs / exact_rhs,
     )

@@ -3,13 +3,18 @@ by subset sum, and subset terms over shared prefixes.
 
 Subsets are canonical strictly-increasing index tuples in lexicographic
 order; the seeded float objective's bytes rely on it, no exact result does.
-`elementary_symmetric` is a row dynamic program, generic over the number
-type, shared by the exact checkers (on the integers of a vector with its
-denominators cleared) and the float objective. `products_by_sum` is the
-same recurrence on integers with every row keyed by subset sum, for the
-exact left side of the main bound and the k-subset side of the proof
-identity; one pass serves every requested k, since row j is the answer for
-k = j. `subset_terms` gives the float objective's terms prod(S)/sum(S)
+`symmetric_row` is the row dynamic program of the elementary symmetric
+polynomials, generic over the number type: `elementary_symmetric` runs it
+for the exact checkers (on the integers of a vector with its denominators
+cleared) and the float objective, and the float gradient resumes it from a
+point's prefix rows. `products_by_sum` is the same recurrence on integers
+with every row keyed by subset sum, for the exact left side of the main
+bound and the k-subset side of the proof identity; one pass serves every
+requested k, since row j is the answer for k = j. Its second form,
+`products_and_cofactors_by_sum`, also carries E(s), the total of e_{k-1}
+over the k-subsets with sum s (Q += b*Q' + P'), for the certificate of
+`inequality.main_verdict`; the first form keeps its one product per sum.
+`subset_terms` gives the float objective's terms prod(S)/sum(S)
 from the products and sums of the subset prefixes, built level by level,
 so a shared prefix is folded once, bit for bit as a left-to-right fold
 over each subset would give. Its recurrence has a second form next to it:
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence
 
 from symineq.exact import InputError
@@ -61,13 +67,12 @@ def _prefix_plan(n: int, k: int) -> tuple:
 @lru_cache(maxsize=2)
 def _coordinate_plan(n: int, k: int) -> tuple:
     """Per coordinate i and plan level, the positions whose subset holds i."""
-    held = []
+    plan, held = _prefix_plan(n, k), []
     for i in range(n):
-        rows, below = [], set()
-        for parents, indices in _prefix_plan(n, k):
-            rows.append(array("I", [m for m, (q, a) in enumerate(zip(parents, indices))
-                                    if a == i or q in below]))
-            below = set(rows[-1])
+        rows, below = [], [False]  # whether each subset of the level below holds i
+        for parents, indices in plan:
+            below = [a == i or below[q] for q, a in zip(parents, indices)]
+            rows.append(array("I", compress(range(len(below)), below)))
         held.append(tuple(rows))
     return tuple(held)
 
@@ -121,20 +126,30 @@ def moved_terms(levels: list, terms: list, entries: Sequence, i: int) -> list:
     return terms
 
 
+def symmetric_row(v: Sequence, row: list, start: int = 0) -> list:
+    """The row (e_0, ..., e_k) of v, from row, that of v[:start], which it
+    updates in place and returns.
+
+    The O(n*k) row recurrence
+    e_j(a_1..a_m) = e_j(a_1..a_{m-1}) + a_m * e_{j-1}(a_1..a_{m-1}),
+    with j descending so each a_m is used once.
+    """
+    k = len(row) - 1
+    for m in range(start, len(v)):
+        a = v[m]
+        for j in range(min(m + 1, k), 0, -1):
+            row[j] += a * row[j - 1]
+    return row
+
+
 def elementary_symmetric(v: Sequence, k: int):
     """e_k(v): the sum over all k-subsets of their entry products.
 
-    Computed by the O(n*k) row recurrence
-    e_k(a_1..a_m) = e_k(a_1..a_{m-1}) + a_m * e_{k-1}(a_1..a_{m-1}),
-    updating in place with j descending so each a_m is used once. The result
+    `symmetric_row` from the row of no entries, [1, 0, ..., 0]. The result
     has the entries' number type: the int seeds 1 and 0 give way to it.
     """
     check_k(k, len(v))
-    row = [1] + [0] * k
-    for m, a in enumerate(v, start=1):
-        for j in range(min(m, k), 0, -1):
-            row[j] += a * row[j - 1]
-    return row[k]
+    return symmetric_row(v, [1] + [0] * k)[k]
 
 
 def products_by_sum(ints: Sequence[int], ks: Sequence[int]) -> list[dict[int, int]]:
@@ -165,3 +180,28 @@ def products_by_sum(ints: Sequence[int], ks: Sequence[int]) -> list[dict[int, in
         if need > 0:
             rows[need - 1] = {}  # it fed row `need` for the last time
     return [rows[k] for k in ks]
+
+
+def products_and_cofactors_by_sum(ints: Sequence[int], k: int) -> dict[int, tuple[int, int]]:
+    """Map each k-subset sum s to (P(s), E(s)): the totals of prod(T) and of
+    e_{k-1}(T) over the k-subsets T with sum(T) = s.
+
+    The second form of `products_by_sum`, for one k. Adding b to a subset T'
+    gives prod(T' + b) = b * prod(T') and e_j(T' + b) = e_j(T') + b * e_{j-1}(T'),
+    where e_j(T') is prod(T') for j = |T'|; so each row carries (P, E) with
+    P += b * P' and E += b * E' + P', seeded with (1, 0) for the empty subset.
+    """
+    n = len(ints)
+    check_k(k, n)
+    rows = [{0: (1, 0)}] + [{} for _ in range(k)]
+    for m, b in enumerate(ints, start=1):
+        need = k - (n - m)  # the lowest row that can still reach row k
+        for j in range(min(m, k), max(need, 1) - 1, -1):
+            dst = rows[j]
+            for s, (p, e) in rows[j - 1].items():
+                s += b
+                q, r = dst.get(s, (0, 0))
+                dst[s] = (q + p * b, r + e * b + p)
+        if need > 0:
+            rows[need - 1] = {}  # it fed row `need` for the last time
+    return rows[k]

@@ -21,7 +21,9 @@ from symineq.inequality import (
     check_main,
     check_pairwise_lemma,
     check_reciprocal_lemma,
+    lhs_main,
     proof_identity,
+    rhs_main,
 )
 from symineq.search import maximize_ratio
 from symineq.symfun import elementary_symmetric
@@ -173,8 +175,10 @@ def test_criterion_7_tightness(announce):
         result = maximize_ratio(n, k, seed=0)
         elapsed = time.perf_counter() - started
         distance = max(abs(x - 1 / n) for x in result.argmax)
+        point = make_vector([Fraction(x) for x in result.argmax])
         good = (result.ratio >= 1 - 1e-9 and distance <= 1e-4
-                and elapsed < 10 and result.exact_ratio <= 1)
+                and elapsed < 10
+                and lhs_main(point, k) / rhs_main(point, k) <= 1)
         ok = ok and good
         outcomes.append(f"({n},{k}) ratio={result.ratio:.12f} "
                         f"dist={distance:.2e} {elapsed:.2f}s")

@@ -21,11 +21,12 @@ from symineq.cli import main
 from symineq.exact import make_vector
 from symineq.inequality import Statement, Violation, check_main, main_sides, report_to_record
 
+ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
-README = Path(__file__).parent.parent / "README.md"
-WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
-SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
-BENCH_PAIRS = Path(__file__).parent.parent / "scripts" / "bench_pairs.py"
+README = ROOT / "README.md"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+SPANS = ROOT / "perfbench" / "spans.py"
+BENCH_PAIRS = ROOT / "scripts" / "bench_pairs.py"
 
 
 def run_cli(*args):
@@ -83,6 +84,18 @@ def test_benchmark_tracer_wraps_every_span_target(capsys):
     assert all(getattr(module, name) is fn for module, name, fn in originals)
     assert tracer.summary()["inequality.lhs_main.calls"] == 1
     assert capsys.readouterr().out.startswith("MainTheorem n=3 k=2")
+
+
+def test_benchmark_smoke_and_self_test_pass():
+    # the benchmark traces spans by function name and gates on the CLI's
+    # output: every workload at a tiny size, traced and untraced, and its
+    # correctness gates against deliberately bad outputs
+    pytest.importorskip("numpy")  # the benchmark records its version
+    for mode in ("--smoke", "--self-test"):
+        result = subprocess.run([sys.executable, "perfbench/run.py", mode],
+                                cwd=ROOT, capture_output=True, text=True)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "FAIL" not in result.stdout
 
 
 def test_bench_pairs_refuses_a_malformed_seed_range(monkeypatch, capsys, tmp_path):

@@ -10,12 +10,15 @@ from symineq.inequality import (
     InequalityReport,
     Statement,
     Violation,
+    _certificate,
+    _integer_form,
     check_main,
     check_pairwise_lemma,
     check_proof_identity,
     check_reciprocal_lemma,
     lhs_main,
     main_reports,
+    main_verdict,
     proof_identity,
     report_to_record,
     rhs_main,
@@ -35,6 +38,12 @@ wide_vectors = st.lists(wide_entry, min_size=1, max_size=8).map(make_vector)
 wide_vectors2 = st.lists(wide_entry, min_size=2, max_size=8).map(make_vector)
 uniform_vectors = st.tuples(st.integers(min_value=1, max_value=8), entry).map(
     lambda t: make_vector([t[1]] * t[0]))
+# c + d/q with offsets d in {-1, 0, +1} and q >= 1000: uniform but for a
+# few entries, so the slack is tiny or, with every d equal, 0
+near_uniform_vectors = st.tuples(
+    st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=8),
+    entry, st.integers(min_value=1000, max_value=10 ** 9)).map(
+    lambda t: make_vector([t[1] + Fraction(d, t[2]) for d in t[0]]))
 
 
 def lhs_oracle(v, k):
@@ -153,6 +162,72 @@ def test_sides_are_homogeneous_of_degree_k_minus_1(v, scale, data):
 def test_main_rejects_bad_k(k):
     with pytest.raises(InputError):
         check_main(make_vector([1, 2, 3]), k)
+
+
+# ---- the proof's certificate ----
+
+certificate_vectors = st.one_of(vectors, uniform_vectors, near_uniform_vectors,
+                                colliding_vectors)
+
+
+def certificate_oracle(ints, k):
+    # G(s) from its definition, subset by subset and grouped by sum:
+    # prod(T) * (sum(T) * sum(1/T) - k^2), in Fractions
+    grouped = {}
+    for T in combinations(ints, k):
+        gap = math.prod(T) * (sum(T) * sum(Fraction(1, a) for a in T) - k * k)
+        grouped[sum(T)] = grouped.get(sum(T), 0) + gap
+    return grouped
+
+
+@settings(deadline=None)  # the oracle enumerates up to 924 subsets per example
+@given(certificate_vectors, st.data())
+def test_certificate_is_its_brute_force_group_total(v, data):
+    k = data.draw(st.integers(min_value=1, max_value=len(v)))
+    ints, _ = _integer_form(v)
+    certificate = _certificate(ints, k)
+    assert certificate == certificate_oracle(ints, k)
+    assert all(type(g) is int and g >= 0 for g in certificate.values())
+
+
+@given(certificate_vectors, st.data())
+def test_certificate_sums_to_the_exact_slack(v, data):
+    # rhs - lhs = sum_s (B - s) * G(s)/s / (k^2 * B * L^(k-1))
+    k = data.draw(st.integers(min_value=1, max_value=len(v)))
+    ints, scale = _integer_form(v)
+    total = sum(ints)
+    weighted = sum(Fraction((total - s) * g, s) for s, g in _certificate(ints, k).items())
+    assert weighted / (k * k * total * scale ** (k - 1)) == check_main(v, k).slack
+
+
+@given(st.one_of(certificate_vectors, wide_vectors), st.data())
+def test_verdict_is_the_sign_of_the_exact_slack(v, data):
+    k = data.draw(st.integers(min_value=1, max_value=len(v)))
+    slack = check_main(v, k).slack
+    assert main_verdict(v, k) == (1 if slack > 0 else 0)
+    assert (main_verdict(v, k) >= 0) == (slack >= 0)
+
+
+def test_verdict_frozen():
+    assert main_verdict(make_vector([1, 2, 3]), 2) == 1
+    assert main_verdict(make_vector([2, 2, 2]), 2) == 0
+    assert main_verdict(make_vector([1, 2, 3]), 3) == 0
+    assert main_verdict(make_vector([Fraction(1, 3)]), 1) == 0
+    with pytest.raises(InputError):
+        main_verdict(make_vector([1, 2, 3]), 4)
+
+
+def test_verdict_falls_back_on_the_exact_sides_if_a_gap_is_negative(monkeypatch):
+    # AM-HM makes every G(s) >= 0; a negative one is a bug, and the verdict
+    # is then read off the reduced sides. Without the fallback, the nonzero
+    # gap at s = 1 < B would read as a strict slack at the uniform point.
+    monkeypatch.setattr("symineq.inequality._certificate", lambda ints, k: {1: -1})
+    assert main_verdict(make_vector([1, 2, 3]), 2) == 1
+    assert main_verdict(make_vector([2, 2, 2]), 2) == 0
+    monkeypatch.setattr("symineq.inequality.lhs_main", lambda v, k: Fraction(10))
+    with pytest.raises(Violation) as raised:
+        main_verdict(make_vector([1, 2, 3]), 2)
+    assert (raised.value.lhs, raised.value.rhs) == (10, rhs_main(make_vector([1, 2, 3]), 2))
 
 
 # ---- reciprocal bound ----

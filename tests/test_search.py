@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symineq.exact import InputError, make_vector
-from symineq.inequality import lhs_main, rhs_main
+from symineq.inequality import Statement, Violation, lhs_main, main_verdict, rhs_main
 from symineq.search import (
     GRADIENT_STEP,
     SIMPLEX_FLOOR,
@@ -32,6 +32,11 @@ vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
 def ratio(v, k):
     # lhs/rhs of the main bound, exact
     return lhs_main(v, k) / rhs_main(v, k)
+
+
+def exact_ratio(result, k):
+    # the exact ratio at a maximize result's argmax, each float read exactly
+    return ratio(make_vector([Fraction(x) for x in result.argmax]), k)
 
 
 def test_ratio_worked_vector_frozen():
@@ -354,7 +359,9 @@ def test_maximize_same_config_same_result():
 
 # sha256 of repr(maximize_ratio(**config)), recorded before the float
 # objective moved onto the prefix-shared subset kernel: the ascent's floats,
-# trace and exact ratio must not move by a bit.
+# trace and exact ratio must not move by a bit. The repr was recorded with a
+# last field exact_ratio, the exact ratio at the argmax; `pinned_repr` puts
+# it back.
 PINNED_RESULTS = [
     (dict(n=8, k=4, seed=0),
      "df32a0b7f3955d3e76d4c0790dfbb72eac06743121ec5503a901edd9f642c935"),
@@ -379,10 +386,14 @@ PINNED_RESULTS = [
 ]
 
 
+def pinned_repr(result, k):
+    return f"{repr(result)[:-1]}, exact_ratio={exact_ratio(result, k)!r})"
+
+
 @pytest.mark.parametrize("config,digest", PINNED_RESULTS)
 def test_maximize_results_pinned(config, digest):
     result = maximize_ratio(**config)
-    assert hashlib.sha256(repr(result).encode()).hexdigest() == digest
+    assert hashlib.sha256(pinned_repr(result, config["k"]).encode()).hexdigest() == digest
 
 
 def test_maximize_results_pinned_when_sum_compensates(monkeypatch):
@@ -391,7 +402,15 @@ def test_maximize_results_pinned_when_sum_compensates(monkeypatch):
     monkeypatch.setattr("symineq.search.sum", math.fsum, raising=False)
     for config, digest in PINNED_RESULTS:
         result = maximize_ratio(**config)
-        assert hashlib.sha256(repr(result).encode()).hexdigest() == digest, config
+        assert hashlib.sha256(pinned_repr(result, config["k"]).encode()).hexdigest() == \
+            digest, config
+
+
+def test_maximize_result_repr_holds_no_huge_integer():
+    # an exact ratio at the argmax has a denominator of 22,072 bits at
+    # (11, 5), past the 4300-digit int-to-str limit; the result holds none
+    result = maximize_ratio(12, 6, seed=0, max_iterations=2)
+    assert repr(result).startswith("SearchResult(argmax=(")
 
 
 def test_maximize_reaches_uniform():
@@ -403,7 +422,7 @@ def test_maximize_reaches_uniform():
         assert result.ratio >= 1 - 1e-9
         assert result.ratio <= 1 + 1e-12
         assert max(abs(x - 1 / n) for x in result.argmax) <= 1e-4
-        assert result.exact_ratio <= 1
+        assert exact_ratio(result, 2) <= 1
 
 
 def test_maximize_trace_is_monotone_and_consistent():
@@ -425,7 +444,7 @@ def test_maximize_from_lopsided_start():
     assert all(b >= a for a, b in zip(result.trace, result.trace[1:]))
     assert result.converged
     assert max(abs(x - 0.2) for x in result.argmax) <= 1e-4
-    assert result.exact_ratio <= 1
+    assert exact_ratio(result, 3) <= 1
 
 
 def test_maximize_argmax_stays_on_simplex():
@@ -434,17 +453,35 @@ def test_maximize_argmax_stays_on_simplex():
     assert min(result.argmax) >= SIMPLEX_FLOOR - 1e-15
 
 
-def test_maximize_exact_recheck_matches_argmax():
+def test_maximize_exact_recheck_matches_argmax(monkeypatch):
+    # the re-certified point is the argmax, each float read exactly
+    certified = []
+
+    def recorded(v, k):
+        certified.append((v, k))
+        return main_verdict(v, k)
+
+    monkeypatch.setattr("symineq.search.main_verdict", recorded)
     result = maximize_ratio(4, 2, seed=5)
     point = make_vector([Fraction(x) for x in result.argmax])
-    assert ratio(point, 2) == result.exact_ratio
+    assert certified == [(point, 2)]
+    assert ratio(point, 2) <= 1
+
+
+def test_maximize_raises_the_violation_the_verdict_finds(monkeypatch):
+    def violated(v, k):
+        raise Violation(Statement.MAIN_THEOREM, v, k, Fraction(2), Fraction(1))
+
+    monkeypatch.setattr("symineq.search.main_verdict", violated)
+    with pytest.raises(Violation):
+        maximize_ratio(4, 2, seed=5)
 
 
 def test_maximize_budget_exhaustion_is_not_convergence():
     result = maximize_ratio(5, 3, max_iterations=1, start=(0.6, 0.1, 0.1, 0.1, 0.1))
     assert result.iterations == 1
     assert not result.converged
-    assert result.exact_ratio <= 1
+    assert exact_ratio(result, 3) <= 1
 
 
 def test_maximize_rejects_a_candidate_whose_float_rhs_underflows(monkeypatch):
@@ -461,7 +498,7 @@ def test_maximize_rejects_a_candidate_whose_float_rhs_underflows(monkeypatch):
     result = maximize_ratio(141, 140, max_iterations=1, step_size=1e3)
     assert any(math.isnan(f) for f in scores)
     assert result.iterations == 1
-    assert result.exact_ratio <= 1
+    assert exact_ratio(result, 140) <= 1
 
 
 def test_maximize_nan_gradient_is_not_convergence(monkeypatch):
@@ -470,7 +507,7 @@ def test_maximize_nan_gradient_is_not_convergence(monkeypatch):
     result = maximize_ratio(5, 3)
     assert not result.converged
     assert result.iterations == 0
-    assert result.exact_ratio <= 1  # re-certified all the same
+    assert exact_ratio(result, 3) <= 1  # re-certified all the same
 
 
 def test_maximize_config_validation():
