@@ -3,7 +3,8 @@
 Every quantity on a verification path is an arbitrary-precision rational
 (`fractions.Fraction`), which keeps canonical form -- positive denominator,
 gcd(|numerator|, denominator) = 1 -- after every arithmetic operation.
-Floats are confined to the search module and never reach a verdict.
+Floats are confined to the float search (`symineq.search`, and the float
+terms `symineq.symfun` computes for it) and never reach a verdict.
 
 Scalar text grammar (bit-exact):
 

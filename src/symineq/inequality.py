@@ -68,9 +68,17 @@ class Violation(Exception):
         self.rhs = rhs
         super().__init__(
             f"{statement.value} violated at n={len(v)} k={k}: "
-            f"lhs={render_scalar(lhs)} rhs={render_scalar(rhs)} "
-            f"slack={render_scalar(rhs - lhs)} v={v!r}"
+            f"lhs={_shown(lhs)} rhs={_shown(rhs)} slack={_shown(rhs - lhs)} v={v!r}"
         )
+
+
+def _shown(x: Fraction) -> str:
+    """render_scalar(x), or, for a value past the digit limit, its digit count
+    in render_scalar's words: a witnessed violation is never refused."""
+    try:
+        return render_scalar(x)
+    except InputError as exc:
+        return f"({exc})"
 
 
 class InequalityReport(NamedTuple):

@@ -7,15 +7,16 @@ ascending the (float) ratio of the two sides toward the uniform point and
 then re-certifying the final iterate exactly. A fuzz trial checks all of its
 k's on one vector from one subset-sum dynamic program pass.
 
-This is the only module that touches floating point. Its float sums are
-left folds (`left_sum`, in C by `itertools.accumulate`), never `sum()`,
-which compensates float sums from Python 3.12 on: the seeded ascent's
-output bytes depend on the order of every addition. The float objective
-shares the e_k row recurrence (`symmetric_row`) with the exact checkers
-and has the subset term kernels of `symineq.symfun` to itself:
-`subset_terms` over whole levels for a point, `moved_terms` in place, at
-the subsets that hold x_i, for the gradient's moved points, whose e_k and
-sum resume from the point's rows and partial sums before x_i. The gradient
+This module runs the float search; the float kernels it calls are
+`symineq.symfun`'s. Its float sums are left folds (`left_sum`, in C by
+`itertools.accumulate`), never `sum()`, which compensates float sums from
+Python 3.12 on: the seeded ascent's output bytes depend on the order of
+every addition. The float objective shares the e_k row recurrence
+(`symmetric_row`) with the exact checkers and has the subset term kernels
+of `symineq.symfun` to itself: `subset_terms` over whole levels for a
+point, `moved_terms` in place, at the subsets that hold x_i, for the
+gradient's moved points. `_ratio` forms every point's ratio, from its
+terms and one whole e_k row, whose e_1 is the point's sum. The gradient
 reuses the terms `ratio_float` last built, at the same float bits. A float
 rhs below the normal range gives a NaN ratio, which the ascent rejects; a
 gradient that is not finite ends the ascent unconverged. The final point
@@ -40,7 +41,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
 from symineq.inequality import main_sides, main_verdict
-from symineq.symfun import elementary_symmetric, moved_terms, subset_terms, symmetric_row
+from symineq.symfun import moved_terms, subset_terms, symmetric_row
 
 # Coordinates never drop below this during projection: the bound's domain is
 # strictly positive vectors, and float subset sums must stay away from 0.
@@ -174,9 +175,9 @@ class SearchResult(NamedTuple):
     trace: tuple[float, ...]
 
 
-def left_sum(xs: Iterable[float], start: float = 0.0) -> float:
-    """((start + x_0) + x_1) + ...: the left fold of reduce(add, xs, start)."""
-    return deque(accumulate(xs, initial=start), maxlen=1)[0]
+def left_sum(xs: Iterable[float]) -> float:
+    """((0.0 + x_0) + x_1) + ...: the left fold of reduce(add, xs, 0.0)."""
+    return deque(accumulate(xs, initial=0.0), maxlen=1)[0]
 
 
 # One point: the gradient at the point ratio_float saw last reuses its terms.
@@ -191,16 +192,17 @@ def ratio_float(x: Sequence[float], k: int) -> float:
 
     Its lhs terms are added one by one in lexicographic order; NaN as _ratio.
     """
-    lhs = left_sum(_subset_terms_at(array("d", x).tobytes(), k)[1])
-    return _ratio(lhs, elementary_symmetric(x, k), left_sum(x), len(x), k)
+    return _ratio(_subset_terms_at(array("d", x).tobytes(), k)[1], x, k)
 
 
-def _ratio(lhs: float, ek: float, total: float, n: int, k: int) -> float:
-    """lhs over the float rhs of the main bound, (n/k) * e_k / total, or NaN
+def _ratio(terms: list, x: Sequence[float], k: int) -> float:
+    """The left fold of x's k-subset terms over the float rhs of the main
+    bound, (n/k) * e_k / e_1, with e_k and e_1 = sum(x) from one row; NaN
     where that rhs is subnormal or 0: it has lost the bits that would rank
     two points."""
-    rhs = (n / k) * ek / total
-    return lhs / rhs if rhs >= sys.float_info.min else math.nan
+    row = symmetric_row(x, k)
+    rhs = (len(x) / k) * row[k] / row[1]
+    return left_sum(terms) / rhs if rhs >= sys.float_info.min else math.nan
 
 
 def project_simplex(x: Sequence[float]) -> list[float]:
@@ -228,25 +230,17 @@ def finite_difference_gradient(x: Sequence[float], k: int) -> list[float]:
     """Central finite-difference gradient of ratio_float at x.
 
     Each moved point recomputes only the terms of the k-subsets that hold
-    x_i (`moved_terms`), keeps x's other terms and folds them all in
-    ratio_float's order; its e_k row recurrence and its sum resume from x's
-    rows and partial sums before i. So each side is ratio_float's value,
-    bit for bit.
+    x_i (`moved_terms`) and keeps x's other terms; `_ratio` then forms its
+    ratio as ratio_float does. So each side is ratio_float's value, bit for
+    bit.
     """
-    n = len(x)
     levels, terms = _subset_terms_at(array("d", x).tobytes(), k)
-    rows = [[1] + [0] * k]  # rows[i]: the e_0..e_k row of x[:i]
-    for m in range(n):
-        rows.append(symmetric_row(x[:m + 1], rows[-1].copy(), m))
-    sums = list(accumulate(x, initial=0.0))  # sums[i]: the left fold of x[:i]
     g = []
     for i, xi in enumerate(x):
         hi = min(GRADIENT_STEP, 0.5 * xi)  # keep the perturbed point positive
         xs, sides = list(x), []
         for xs[i] in (xi + hi, xi - hi):
-            sides.append(_ratio(left_sum(moved_terms(levels, terms, xs, i)),
-                                symmetric_row(xs, rows[i].copy(), i)[k],
-                                left_sum(xs[i:], sums[i]), n, k))
+            sides.append(_ratio(moved_terms(levels, terms, xs, i), xs, k))
         g.append((sides[0] - sides[1]) / (2.0 * hi))
     return g
 

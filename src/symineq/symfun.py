@@ -4,10 +4,11 @@ by subset sum, and subset terms over shared prefixes.
 Subsets are canonical strictly-increasing index tuples in lexicographic
 order; the seeded float objective's bytes rely on it, no exact result does.
 `symmetric_row` is the row dynamic program of the elementary symmetric
-polynomials, generic over the number type: `elementary_symmetric` runs it
-for the exact checkers (on the integers of a vector with its denominators
-cleared) and the float objective, and the float gradient resumes it from a
-point's prefix rows. `products_by_sum` is the same recurrence on integers
+polynomials, generic over the number type, from the int seeds 1 and 0: the
+exact checkers read e_k from it through `elementary_symmetric` (on the
+integers of a vector with its denominators cleared), and the float
+objective reads e_k and the coordinate sum e_1 from one row per point.
+`products_by_sum` is the same recurrence on integers
 with every row keyed by subset sum, for the exact left side of the main
 bound and the k-subset side of the proof identity; one pass serves every
 requested k, since row j is the answer for k = j. Its second form,
@@ -126,30 +127,26 @@ def moved_terms(levels: list, terms: list, entries: Sequence, i: int) -> list:
     return terms
 
 
-def symmetric_row(v: Sequence, row: list, start: int = 0) -> list:
-    """The row (e_0, ..., e_k) of v, from row, that of v[:start], which it
-    updates in place and returns.
+def symmetric_row(v: Sequence, k: int) -> list:
+    """The row (e_0, ..., e_k) of v, from that of no entries, [1, 0, ..., 0].
 
     The O(n*k) row recurrence
     e_j(a_1..a_m) = e_j(a_1..a_{m-1}) + a_m * e_{j-1}(a_1..a_{m-1}),
-    with j descending so each a_m is used once.
+    with j descending so each a_m is used once. The row has the entries'
+    number type: the int seeds 1 and 0 give way to it, so e_1 is
+    0 + a_1 + a_2 + ..., the left fold of v, floats included.
     """
-    k = len(row) - 1
-    for m in range(start, len(v)):
-        a = v[m]
+    row = [1] + [0] * k
+    for m, a in enumerate(v):
         for j in range(min(m + 1, k), 0, -1):
             row[j] += a * row[j - 1]
     return row
 
 
 def elementary_symmetric(v: Sequence, k: int):
-    """e_k(v): the sum over all k-subsets of their entry products.
-
-    `symmetric_row` from the row of no entries, [1, 0, ..., 0]. The result
-    has the entries' number type: the int seeds 1 and 0 give way to it.
-    """
+    """e_k(v): the sum over all k-subsets of their entry products."""
     check_k(k, len(v))
-    return symmetric_row(v, [1] + [0] * k)[k]
+    return symmetric_row(v, k)[k]
 
 
 def products_by_sum(ints: Sequence[int], ks: Sequence[int]) -> list[dict[int, int]]:

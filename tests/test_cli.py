@@ -408,15 +408,19 @@ def test_closed_stdout_ends_in_one_error_line(tmp_path):
 def test_interrupt_ends_in_one_error_line(tmp_path):
     many = tmp_path / "many.txt"
     many.write_text((" ".join(map(str, range(1, 17))) + "\n") * 20000)
+    # A shell starts a background job with SIGINT ignored, and Python raises
+    # KeyboardInterrupt only when SIGINT is at its default on start-up; so
+    # the child restores the default, whatever this process inherited.
     proc = subprocess.Popen([sys.executable, "-m", "symineq", "check", "--file", str(many),
                              "--all-k"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     # the first output byte comes after the file is parsed, inside main
     assert proc.stdout.read(1)
     proc.send_signal(signal.SIGINT)
     _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 1
-    assert err == b"symineq: error: interrupted\n"
+    assert proc.returncode == 1, err
+    assert err == b"symineq: error: interrupted\n", err
 
 
 value_text = st.lists(st.text(alphabet="0123456789/.-,x ", min_size=1, max_size=6),
@@ -574,6 +578,22 @@ def test_witnessed_violation_exits_2(monkeypatch, capsys):
     assert code == 2
     assert "violation" in captured.err
     assert "slack=-1" in captured.err
+
+
+def test_violation_past_the_digit_limit_still_exits_2(monkeypatch, capsys):
+    # a witnessed violation whose sides are too long to print is reported,
+    # not refused: each unprintable value is named by its digit count
+    def inverted(v, k):
+        raise Violation(Statement.MAIN_THEOREM, v, k, Fraction(10**4400 + 1, 3), Fraction(2))
+
+    monkeypatch.setattr("symineq.cli.check_main", inverted)
+    code = main(["check", "--values", "1,2,3", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("symineq: exact violation witnessed:")
+    assert captured.err.count("\n") == 1
+    assert "lhs=(exact value of about 4401 digits is past the" in captured.err
+    assert " rhs=2 " in captured.err
 
 
 def test_violation_keeps_earlier_report_lines(monkeypatch, capsys, tmp_path):

@@ -1,7 +1,9 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from symineq.symfun import (
     products_and_cofactors_by_sum,
     products_by_sum,
     subset_terms,
+    symmetric_row,
 )
 
 entry = st.fractions(min_value=Fraction(1, 100), max_value=100)
@@ -107,6 +110,26 @@ def test_ek_split_recurrence(v, data):
     if k <= len(v):
         expected += elementary_symmetric(v, k)
     assert elementary_symmetric(extended, k) == expected
+
+
+# ---- the e_0..e_k row ----
+
+@given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=10), st.data())
+def test_row_is_every_ek_and_its_e1_the_sum_of_ints(x, data):
+    k = data.draw(st.integers(min_value=1, max_value=len(x)))
+    row = symmetric_row(x, k)
+    assert row == [ek_brute(x, j) for j in range(k + 1)]
+    assert row[1] == sum(x)
+
+
+@given(st.lists(st.floats(min_value=1e-9, max_value=1e3), min_size=1, max_size=12),
+       st.data())
+def test_row_e1_is_the_left_fold_of_floats(pool, data):
+    # the float ratio reads sum(x) from e_1 of its row: from the int seeds 1
+    # and 0 (exact under IEEE), e_1 adds the entries as reduce(add, x, 0.0)
+    x = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))  # repeats
+    k = data.draw(st.integers(min_value=1, max_value=len(x)))
+    assert float.hex(symmetric_row(x, k)[1]) == float.hex(reduce(add, x, 0.0))
 
 
 # ---- products grouped by subset sum ----
