@@ -14,23 +14,26 @@ rearrangement identity behind the proof. All arithmetic is exact; a
 negative slack is raised as `Violation`, never returned in a report (an
 `InequalityReport`, a named tuple).
 
-Both sides of the main bound and of the identity work on the integer form
-of v: the denominators are cleared once (b = v*L, L their lcm), the sums
-run on ints, and each side builds one Fraction at the end. The left side is
-a subset-sum dynamic program (`symfun.products_by_sum`), not an
-enumeration; its brute-force oracle lives in the tests. `check_main` runs
-the pass pruned to one k; `main_reports` checks many k's of one vector
-from one pass, whose row k gives lhs and, summed, e_k for rhs. The
-k-subset side of the proof identity is the same dynamic program, while the
-other side keeps its own enumeration of the (k+1)-subsets, so the identity
-cross-checks the one against the other. `main_verdict` reads only the sign
-of the main slack, from the proof's certificate: by AM-HM each k-subset
-sum s carries an integer G(s) >= 0, and the slack is 0 exactly when they
-all are (below the total), so the sign needs no Fraction and no gcd. The
-reciprocal lemma uses the same
-integer form; the pairwise lemma stays a literal double loop, the
-cross-check of the main bound at k = 2. An argument outside a statement's
-domain (k outside 1..n, or n < 2 for the lemmas) raises `InputError`.
+Every check works on the integer form of v: the denominators are cleared
+once (b = v*L, L their lcm), the sums run on ints, and each side builds one
+Fraction at the end. The main bound's left side is a subset-sum dynamic
+program (`symfun.products_by_sum`), not an enumeration; its brute-force
+oracle lives in the tests. `check_main` runs the pass pruned to one k;
+`main_reports` checks many k's of one vector from one pass, whose row k
+gives lhs and, summed, e_k for rhs. The k-subset side of the proof identity
+is the same dynamic program, while the other side keeps its own
+enumeration of the (k+1)-subsets, so the identity cross-checks the one
+against the other: the two groupings of numerators by subset sum are
+compared sum by sum, and reduced once when they agree. `main_verdict` reads
+only the sign of the main slack, from the proof's certificate: by AM-HM
+each k-subset sum s carries an integer G(s) >= 0, and the slack is 0
+exactly when they all are (below the total), so the sign needs no Fraction
+and no gcd. The reciprocal lemma groups its terms by denominator. The
+pairwise lemma is a literal double loop over the pairs of the integer
+form, grouped by pair sum; it calls neither the dynamic program nor e_k,
+so it stays an independent cross-check of the main bound at k = 2. An
+argument outside a statement's domain (k outside 1..n, or n < 2 for the
+lemmas) raises `InputError`.
 """
 
 from __future__ import annotations
@@ -66,9 +69,12 @@ class Violation(Exception):
         self.k = k
         self.lhs = lhs
         self.rhs = rhs
+        # each entry as in PositiveVector's repr, which refuses a long one
+        entries = ", ".join(_shown(a) for a in v)
         super().__init__(
             f"{statement.value} violated at n={len(v)} k={k}: "
-            f"lhs={_shown(lhs)} rhs={_shown(rhs)} slack={_shown(rhs - lhs)} v={v!r}"
+            f"lhs={_shown(lhs)} rhs={_shown(rhs)} slack={_shown(rhs - lhs)} "
+            f"v=PositiveVector({entries})"
         )
 
 
@@ -263,27 +269,48 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
 
     sum_{i<j} a_i*a_j/(a_i+a_j) <= n/(2*sum(v)) * sum_{i<j} a_i*a_j,
     written as literal loops so it stays an independent cross-check of
-    check_main(v, 2); the two must agree field-for-field.
+    check_main(v, 2); the two must agree field-for-field. On the integer
+    form b = v*L with B = sum(b), lhs = sum_{i<j} b_i*b_j/(b_i+b_j) / L and
+    rhs = n * sum_{i<j} b_i*b_j / (2*B*L); the loops group the pair
+    products by b_i + b_j and total them as ints.
     """
     n = len(v)
     if n < 2:
         raise InputError(f"the pairwise lemma needs n >= 2, got n={n}")
-    lhs = Fraction(0)
-    pair_products = Fraction(0)
+    ints, scale = _integer_form(v)
+    by_sum: dict[int, int] = {}
+    pair_products = 0
     for i in range(n):
         for j in range(i + 1, n):
-            lhs += v[i] * v[j] / (v[i] + v[j])
-            pair_products += v[i] * v[j]
-    rhs = Fraction(n) * pair_products / (2 * v.total())
-    return _report(Statement.PAIRWISE_LEMMA, v, 2, lhs, rhs)
+            p, s = ints[i] * ints[j], ints[i] + ints[j]
+            by_sum[s] = by_sum.get(s, 0) + p
+            pair_products += p
+    rhs = Fraction(n * pair_products, 2 * sum(ints) * scale)
+    return _report(Statement.PAIRWISE_LEMMA, v, 2, _sum_over_sums(by_sum, scale), rhs)
 
 
 # --------------------------------------------------------------------------
 # Proof identity
 # --------------------------------------------------------------------------
 
+def _identity_groups(b: Sequence[int], k: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The proof identity's two numerator groupings on the integers b, each
+    keyed by the k-subset sum s = sum(b_T): left maps s to the total of
+    prod(b_T) * (B - s) (`products_by_sum`), right to the total of prod(b_S)
+    over the (k+1)-subsets S and their entries a with sum(b_S) - a = s."""
+    total = sum(b)
+    [row] = products_by_sum(b, (k,))
+    left = {s: p * (total - s) for s, p in row.items()}
+    right: dict[int, int] = {}
+    for s in combinations(b, k + 1):
+        prod, tot = math.prod(s), sum(s)
+        for a in s:
+            right[tot - a] = right.get(tot - a, 0) + prod
+    return left, right
+
+
 def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the rearrangement identity, computed independently.
+    """Both sides of the rearrangement identity, grouped independently.
 
     On the unit-sum rescaling w = v / sum(v):
 
@@ -293,25 +320,22 @@ def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
     With b the integer form of v and B = sum(b), w = b/B, so
     left  = k * sum_T prod(b_T) * (B - sum(b_T)) / sum(b_T) / B^k and
     right = k * sum_{S, T} prod(b_S) / sum(b_T) / B^k. Each side groups its
-    numerators by sum(b_T). left is the `products_by_sum` dynamic program,
-    right enumerates (k+1)-subsets and their k-sub-subsets (S less one
-    entry); the contract is left == right exactly.
+    numerators by sum(b_T) (`_identity_groups`): left is the
+    `products_by_sum` dynamic program, right enumerates (k+1)-subsets and
+    their k-sub-subsets (S less one entry). The groupings agree sum by sum,
+    since the S that hold a k-subset T add up to prod(b_T) * (B - sum(b_T)).
+    When they do, one reduction serves both sides; otherwise each side is
+    reduced on its own, so a side that is off keeps its own value.
     """
     n = len(v)
     if not 0 < k < n:
         raise InputError(f"the identity needs 0 < k < n, got k={k} n={n}")
     b, _ = _integer_form(v)
-    total = sum(b)
-    [row] = products_by_sum(b, (k,))
-    left = {s: p * (total - s) for s, p in row.items()}
-
-    right: dict[int, int] = {}
-    for s in combinations(b, k + 1):
-        prod, tot = math.prod(s), sum(s)
-        for a in s:
-            right[tot - a] = right.get(tot - a, 0) + prod
-
-    scale = total ** k
+    left, right = _identity_groups(b, k)
+    scale = sum(b) ** k
+    if left == right:
+        side = k * _sum_over_sums(left, scale)
+        return side, side
     return k * _sum_over_sums(left, scale), k * _sum_over_sums(right, scale)
 
 

@@ -146,9 +146,14 @@ def test_fuzz_runs_are_byte_identical():
     assert first.stdout == second.stdout
 
 
+# six-digit numerators and denominators, one entry tiny and one huge
+WIDE_RATIONALS = ("123457/999983,987654/100003,555557/777781,31/999999,999999/31,"
+                  "271828/314159,141421/173205")
 # sha256 of the stdout of each run. The fuzz and `check --all-k` digests were
 # recorded while they still ran the dynamic program once per k: one pass for
 # every k must not move a byte under any k policy, format or distribution.
+# The pairwise and identity digests were recorded while the pairwise lemma
+# still added Fractions pair by pair and the identity reduced both sides.
 # The maximize digests are the benchmark's three runs, recorded while the
 # records were still dataclasses.
 PINNED_OUTPUTS = [
@@ -169,6 +174,14 @@ PINNED_OUTPUTS = [
      "38015416b8d67566659d7883baba319c0f3380d0fb616744fb14321588293a69"),
     ("check --values 12/7,3/11,99/100,1,2,3,4,5 --all-k --format json",
      "ac16f151f3cb858e30c8f0b713cfa315a15451d7d0b13a11f206c5b179f47811"),
+    ("lemma --which pairwise --values " + WIDE_RATIONALS + ",1000000/999999",
+     "39cf394070a63ad3281f864e753ac9637faa3d05b33a082720f2d81850d4211e"),
+    ("lemma --which pairwise --values " + WIDE_RATIONALS + ",1000000/999999 --format json",
+     "7d1366530b00163047b1b76a9454c51d6c07a7f4e7716907234c062373af8efc"),
+    ("identity --k 3 --values " + WIDE_RATIONALS,
+     "dbcee511e927edfe9b896f565dbbaa8da2b44395ca07db6b315ee52cb309923c"),
+    ("identity --k 3 --values " + WIDE_RATIONALS + " --format json",
+     "fd7547956ab80f5fa59b63d8fd2a8c91ae912aec1fb0c4f27b2f7d2347738cbb"),
     ("maximize --n 13 --k 6 --seed 0",
      "4c62bd1fd77c1f14d286397d5c27b715a1fe743fb39d3219f3e9750aee35475b"),
     ("maximize --n 13 --k 6 --seed 1",

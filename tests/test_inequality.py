@@ -1,4 +1,6 @@
+import fractions
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,7 +13,9 @@ from symineq.inequality import (
     Statement,
     Violation,
     _certificate,
+    _identity_groups,
     _integer_form,
+    _sum_over_sums,
     check_main,
     check_pairwise_lemma,
     check_proof_identity,
@@ -23,6 +27,7 @@ from symineq.inequality import (
     report_to_record,
     rhs_main,
 )
+from symineq.symfun import products_by_sum
 
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
 vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
@@ -58,6 +63,32 @@ def identity_oracle(v, k):
     w = [a / total for a in v]
     return k * sum(math.prod(w[i] for i in s) * (1 - sum(w[i] for i in s))
                    / sum(w[i] for i in s) for s in combinations(range(len(w)), k))
+
+
+def pairwise_oracle(v):
+    # the k = 2 bound by its double sum in Fractions, pair by pair
+    n = len(v)
+    lhs = Fraction(0)
+    pair_products = Fraction(0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs += v[i] * v[j] / (v[i] + v[j])
+            pair_products += v[i] * v[j]
+    rhs = Fraction(n) * pair_products / (2 * v.total())
+    return InequalityReport(n=n, k=2, statement=Statement.PAIRWISE_LEMMA, lhs=lhs,
+                            rhs=rhs, slack=rhs - lhs, is_equality=lhs == rhs)
+
+
+def identity_groups_oracle(ints, k):
+    # sum(T) -> the total of prod(T) * b_a over the k-subsets T and the
+    # entries a outside T, by index, so repeated values stay apart
+    grouped = {}
+    for T in combinations(range(len(ints)), k):
+        s = sum(ints[i] for i in T)
+        for a in range(len(ints)):
+            if a not in T:
+                grouped[s] = grouped.get(s, 0) + math.prod(ints[i] for i in T) * ints[a]
+    return grouped
 
 
 def rhs_oracle(v, k):
@@ -289,6 +320,55 @@ def test_pairwise_agrees_with_main_at_k2_field_for_field(v):
     assert direct.is_equality == via_main.is_equality
 
 
+# entries from a small pool drawn with repeats: small rationals and
+# p/q with p, q up to 10^6
+pairwise_pool = st.lists(
+    st.one_of(entry, st.builds(Fraction, st.integers(min_value=1, max_value=10 ** 6),
+                               st.integers(min_value=1, max_value=10 ** 6))),
+    min_size=1, max_size=12, unique=True)
+pairwise_vectors = pairwise_pool.flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=12)).map(make_vector)
+
+
+@given(pairwise_vectors)
+def test_pairwise_is_its_fraction_double_sum(v):
+    assert check_pairwise_lemma(v) == pairwise_oracle(v)
+
+
+@given(pairwise_vectors)
+def test_pairwise_needs_no_dynamic_program_and_no_ek(v):
+    # the lemma cross-checks the main bound at k = 2, so it must not reach
+    # the kernels check_main uses
+    def unreachable(*args):
+        raise AssertionError("the pairwise lemma reached a kernel of check_main")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("symineq.inequality.products_by_sum", unreachable)
+        patch.setattr("symineq.inequality.elementary_symmetric", unreachable)
+        assert check_pairwise_lemma(v) == pairwise_oracle(v)
+
+
+def test_pairwise_does_no_fraction_arithmetic_per_pair():
+    # the pairs are summed as ints: the Fraction work (calls into
+    # fractions.py, less the numerator/denominator reads of the integer
+    # form) is a few operations per vector, fewer than its 40 entries
+    v = make_vector([Fraction(10 ** 6 - 7 * i, 999_983 + i) for i in range(40)])
+    calls = []
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code.co_filename == fractions.__file__
+                and frame.f_code.co_name not in ("numerator", "denominator")):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        report = check_pairwise_lemma(v)
+    finally:
+        sys.setprofile(None)
+    assert report == pairwise_oracle(v)
+    assert len(calls) < len(v), calls
+
+
 def test_pairwise_worked_vector_frozen():
     report = check_pairwise_lemma(make_vector([1, 2, 3]))
     assert report.lhs == Fraction(157, 60)
@@ -326,6 +406,62 @@ def test_identity_sides_agree(v):
     for k in range(1, len(v)):
         expected = identity_oracle(v, k)
         assert proof_identity(v, k) == (expected, expected)
+
+
+@settings(deadline=None)  # the oracle visits up to 5 * C(9, 4) subset entries
+@given(st.one_of(vectors2, wide_vectors2,
+                 colliding_vectors.filter(lambda v: 2 <= len(v) <= 9)), st.data())
+def test_identity_groupings_agree_sum_by_sum(v, data):
+    k = data.draw(st.integers(min_value=1, max_value=len(v) - 1))
+    ints, _ = _integer_form(v)
+    expected = identity_groups_oracle(ints, k)
+    assert _identity_groups(ints, k) == (expected, expected)
+
+
+@given(vectors2, st.data())
+def test_identity_reduces_agreeing_groupings_once(v, data):
+    k = data.draw(st.integers(min_value=1, max_value=len(v) - 1))
+    reduced = []
+
+    def counted(by_sum, scale):
+        reduced.append(by_sum)
+        return _sum_over_sums(by_sum, scale)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("symineq.inequality._sum_over_sums", counted)
+        left, right = proof_identity(v, k)
+    assert len(reduced) == 1
+    assert left == right == identity_oracle(v, k)
+
+
+def test_identity_reduces_each_side_of_disagreeing_groupings(monkeypatch):
+    # the k-subset side off by one in a single group: each side keeps the
+    # value of its own grouping, and the check witnesses the difference
+    def off_by_one(ints, ks):
+        [row] = products_by_sum(ints, ks)
+        first = min(row)
+        return [{**row, first: row[first] + 1}]
+
+    v = make_vector([1, Fraction(2, 3), 5, 7])
+    k = 2
+    ints, _ = _integer_form(v)
+    total = sum(ints)
+    right_groups = identity_groups_oracle(ints, k)
+    left_groups = dict(right_groups)
+    first = min(left_groups)
+    left_groups[first] += total - first
+
+    def reduced(groups):
+        return k * sum(Fraction(p, s) for s, p in groups.items()) / total ** k
+
+    monkeypatch.setattr("symineq.inequality.products_by_sum", off_by_one)
+    left, right = proof_identity(v, k)
+    assert left != right
+    assert (left, right) == (reduced(left_groups), reduced(right_groups))
+    assert right == identity_oracle(v, k)
+    with pytest.raises(Violation) as raised:
+        check_proof_identity(v, k)
+    assert (raised.value.lhs, raised.value.rhs) == (left, right)
 
 
 @given(uniform_vectors, st.data())
@@ -396,6 +532,20 @@ def test_violation_carries_witness_and_message():
     text = str(err)
     assert "MainTheorem" in text and "n=2" in text and "k=1" in text
     assert "slack=-1/2" in text
+
+
+def test_violation_names_an_entry_past_the_digit_limit_by_its_digit_count():
+    # the message renders the vector entry by entry, so one entry too long
+    # to print cannot keep a witnessed violation from being constructed
+    v = make_vector([Fraction(10 ** 4400 + 1, 3), 1])
+    err = Violation(Statement.MAIN_THEOREM, v, 1, Fraction(3), Fraction(2))
+    assert err.v is v
+    assert str(err).endswith(
+        "slack=-1 v=PositiveVector((exact value of about 4401 digits is past the "
+        f"{sys.get_int_max_str_digits()}-digit limit for rendering), 1)")
+    short = Violation(Statement.MAIN_THEOREM, make_vector([1, Fraction(2, 3)]), 1,
+                      Fraction(3), Fraction(2))
+    assert str(short).endswith(f" v={make_vector([1, Fraction(2, 3)])!r}")
 
 
 def test_reports_render_exact_strings():
