@@ -15,14 +15,20 @@ negative slack is raised as `Violation`, never returned in a report (an
 `InequalityReport`, a named tuple).
 
 Every check works on the integer form of v: the denominators are cleared
-once (b = v*L, L their lcm), the sums run on ints, and each side builds one
-Fraction at the end. The main bound's left side is a subset-sum dynamic
+(b = v*L, L their lcm), the sums run on ints, and each side builds one
+Fraction at the end. A memo of one entry keeps the form of the last vector
+asked for, keyed by the vector object, so the checks of one vector clear
+its denominators once. The main bound's left side is a subset-sum dynamic
 program (`symfun.products_by_sum`), not an enumeration; its brute-force
-oracle lives in the tests. `check_main` runs the pass pruned to one k;
-`main_reports` checks many k's of one vector from one pass, whose row k
-gives lhs and, summed, e_k for rhs. The k-subset side of the proof identity
-is the same dynamic program, while the other side keeps its own
-enumeration of the (k+1)-subsets, so the identity cross-checks the one
+oracle lives in the tests. Its row k, pruned to k, is built on the first
+request and kept with the form: `lhs_main` reduces it, and `rhs_main` reads
+e_k(b) as the total of its values. `main_reports` checks many k's of one
+vector from one pass of its own, whose row k gives lhs and, summed, e_k
+for rhs; those rows are not kept. The k-subset side of the proof identity
+is the dynamic program's row, the one the main bound kept if it is there
+(the identity keeps none of its own, so it holds no more memory than it
+would without the memo), while the other side keeps its own enumeration
+of the (k+1)-subsets, so the identity cross-checks the one
 against the other: the two groupings of numerators by subset sum are
 compared sum by sum, and reduced once when they agree. `main_verdict` reads
 only the sign of the main slack, from the proof's certificate: by AM-HM
@@ -30,10 +36,10 @@ each k-subset sum s carries an integer G(s) >= 0, and the slack is 0
 exactly when they all are (below the total), so the sign needs no Fraction
 and no gcd. The reciprocal lemma groups its terms by denominator. The
 pairwise lemma is a literal double loop over the pairs of the integer
-form, grouped by pair sum; it calls neither the dynamic program nor e_k,
-so it stays an independent cross-check of the main bound at k = 2. An
-argument outside a statement's domain (k outside 1..n, or n < 2 for the
-lemmas) raises `InputError`.
+form, grouped by pair sum; it reads neither a row of the dynamic program
+nor e_k, so it stays an independent cross-check of the main bound at
+k = 2. An argument outside a statement's domain (k outside 1..n, or n < 2
+for the lemmas) raises `InputError`.
 """
 
 from __future__ import annotations
@@ -45,11 +51,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from symineq.exact import InputError, PositiveVector, render_scalar
-from symineq.symfun import (
-    elementary_symmetric,
-    products_and_cofactors_by_sum,
-    products_by_sum,
-)
+from symineq.symfun import products_and_cofactors_by_sum, products_by_sum
 
 
 class Statement(Enum):
@@ -125,10 +127,50 @@ def _report(statement: Statement, v: PositiveVector, k: int,
 # Main bound
 # --------------------------------------------------------------------------
 
-def _integer_form(v: PositiveVector) -> tuple[list[int], int]:
-    """(b, L): L is the lcm of the denominators of v and b = v*L, in integers."""
-    scale = math.lcm(*(a.denominator for a in v))
-    return [a.numerator * (scale // a.denominator) for a in v], scale
+class _IntegerForm(NamedTuple):
+    """A vector v with its denominators cleared: L is their lcm, b = v*L in
+    integers and B = sum(b). `rows` holds the `products_by_sum` rows the
+    main bound built for v so far, by k (`row`)."""
+    v: PositiveVector
+    ints: tuple[int, ...]
+    scale: int
+    total: int
+    rows: dict[int, dict[int, int]]
+
+    def row(self, k: int) -> dict[int, int]:
+        """Row k of `products_by_sum` on b, pruned to k: each k-subset sum s
+        maps to the total of prod(b_S) over the k-subsets with sum s. Built
+        on the first request and kept with the form."""
+        row = self.rows.get(k)
+        if row is None:
+            [row] = products_by_sum(self.ints, (k,))
+            self.rows[k] = row
+        return row
+
+
+# A memo of one entry: the integer form of the last vector asked for. The
+# checks of one vector (the main bound at each k, the identity, the lemmas)
+# then clear its denominators once, and build row k once for the main
+# bound's two sides and the identity at that k. It is keyed by
+# the vector object (`is`): hashing a tuple of Fractions costs more than the
+# form itself. The entry holds the vector, so its id cannot be reused while
+# the entry stands, and a new vector replaces the entry whole. Only a tuple
+# is kept, since a list could change between two calls. Threads that race
+# each get a whole entry, and at worst build a form or a row twice.
+_memo = _IntegerForm(None, (), 1, 0, {})
+
+
+def _integer_form(v: PositiveVector) -> _IntegerForm:
+    """The integer form of v, from the memo when v was the last vector asked for."""
+    global _memo
+    form = _memo
+    if form.v is not v:
+        scale = math.lcm(*(a.denominator for a in v))
+        ints = tuple([a.numerator * (scale // a.denominator) for a in v])
+        form = _IntegerForm(v, ints, scale, sum(ints), {})
+        if isinstance(v, tuple):
+            _memo = form
+    return form
 
 
 def _sum_over_sums(by_sum: dict[int, int], scale: int) -> Fraction:
@@ -161,18 +203,20 @@ def lhs_main(v: PositiveVector, k: int) -> Fraction:
     A subset enters only through its product and its sum, so subsets that
     share a sum are added before the one division. On the integer form
     b = a*L, lhs = sum_s P(s)/s / L^(k-1), where P(s) is the total of
-    prod(b_S) over the k-subsets with sum(b_S) = s (`products_by_sum`).
+    prod(b_S) over the k-subsets with sum(b_S) = s (the form's row k).
     """
-    ints, scale = _integer_form(v)
-    [row] = products_by_sum(ints, (k,))
-    return _sum_over_sums(row, scale ** (k - 1))
+    form = _integer_form(v)
+    return _sum_over_sums(form.row(k), form.scale ** (k - 1))
 
 
 def rhs_main(v: PositiveVector, k: int) -> Fraction:
-    """(n/k) * e_k(v) / sum(v) = n * e_k(b) / (k * L^(k-1) * sum(b)) on b = a*L."""
-    ints, scale = _integer_form(v)
-    return Fraction(len(v) * elementary_symmetric(ints, k),
-                    k * scale ** (k - 1) * sum(ints))
+    """(n/k) * e_k(v) / sum(v) = n * e_k(b) / (k * L^(k-1) * B) on b = a*L.
+
+    e_k(b) is the total of row k of the form, the same row `lhs_main` reads.
+    """
+    form = _integer_form(v)
+    return Fraction(len(v) * sum(form.row(k).values()),
+                    k * form.scale ** (k - 1) * form.total)
 
 
 def check_main(v: PositiveVector, k: int) -> InequalityReport:
@@ -192,9 +236,9 @@ def main_sides(v: PositiveVector,
     One `products_by_sum` pass over the integer form serves every k: row k
     gives lhs as in `lhs_main`, and its values sum to e_k(b) for rhs as in
     `rhs_main`. Each k is reduced to its two Fractions when its turn comes.
+    The rows are its own and are not kept with the form.
     """
-    ints, scale = _integer_form(v)
-    total = sum(ints)
+    _, ints, scale, total, _ = _integer_form(v)
     for k, row in zip(ks, products_by_sum(ints, ks)):
         weight = scale ** (k - 1)
         yield (k, _sum_over_sums(row, weight),
@@ -229,8 +273,8 @@ def main_verdict(v: PositiveVector, k: int) -> int:
     verdict then falls back on `check_main`, which raises Violation if the
     exact lhs exceeds rhs.
     """
-    ints, _ = _integer_form(v)
-    total, certificate = sum(ints), _certificate(ints, k)
+    form = _integer_form(v)
+    total, certificate = form.total, _certificate(form.ints, k)
     if min(certificate.values()) < 0:
         return 0 if check_main(v, k).is_equality else 1
     return 1 if any(g for s, g in certificate.items() if s < total) else 0
@@ -253,8 +297,7 @@ def check_reciprocal_lemma(v: PositiveVector) -> InequalityReport:
         raise InputError(f"the reciprocal lemma needs n >= 2, got n={n}")
     # On the integer form b = v*L with B = sum(b): (n-1)/(sum(v) - a_j) is
     # (n-1)*L/(B - b_j) and 1/a_i is L/b_i. Equal denominators are grouped.
-    ints, scale = _integer_form(v)
-    total = sum(ints)
+    _, ints, scale, total, _ = _integer_form(v)
     averages: dict[int, int] = {}
     reciprocals: dict[int, int] = {}
     for b in ints:
@@ -277,7 +320,7 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
     n = len(v)
     if n < 2:
         raise InputError(f"the pairwise lemma needs n >= 2, got n={n}")
-    ints, scale = _integer_form(v)
+    _, ints, scale, total, _ = _integer_form(v)
     by_sum: dict[int, int] = {}
     pair_products = 0
     for i in range(n):
@@ -285,7 +328,7 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
             p, s = ints[i] * ints[j], ints[i] + ints[j]
             by_sum[s] = by_sum.get(s, 0) + p
             pair_products += p
-    rhs = Fraction(n * pair_products, 2 * sum(ints) * scale)
+    rhs = Fraction(n * pair_products, 2 * total * scale)
     return _report(Statement.PAIRWISE_LEMMA, v, 2, _sum_over_sums(by_sum, scale), rhs)
 
 
@@ -293,13 +336,16 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
 # Proof identity
 # --------------------------------------------------------------------------
 
-def _identity_groups(b: Sequence[int], k: int) -> tuple[dict[int, int], dict[int, int]]:
+def _identity_groups(b: Sequence[int], k: int,
+                     row: dict[int, int] | None = None) -> tuple[dict[int, int], dict[int, int]]:
     """The proof identity's two numerator groupings on the integers b, each
     keyed by the k-subset sum s = sum(b_T): left maps s to the total of
-    prod(b_T) * (B - s) (`products_by_sum`), right to the total of prod(b_S)
-    over the (k+1)-subsets S and their entries a with sum(b_S) - a = s."""
+    prod(b_T) * (B - s) from row k of `products_by_sum` on b (built here
+    unless given), right to the total of prod(b_S) over the (k+1)-subsets S
+    and their entries a with sum(b_S) - a = s."""
     total = sum(b)
-    [row] = products_by_sum(b, (k,))
+    if row is None:
+        [row] = products_by_sum(b, (k,))
     left = {s: p * (total - s) for s, p in row.items()}
     right: dict[int, int] = {}
     for s in combinations(b, k + 1):
@@ -330,9 +376,11 @@ def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
     n = len(v)
     if not 0 < k < n:
         raise InputError(f"the identity needs 0 < k < n, got k={k} n={n}")
-    b, _ = _integer_form(v)
-    left, right = _identity_groups(b, k)
-    scale = sum(b) ** k
+    form = _integer_form(v)
+    # the row the main bound kept at this k; one built here is not kept,
+    # since it would be held through the reductions below
+    left, right = _identity_groups(form.ints, k, form.rows.get(k))
+    scale = form.total ** k
     if left == right:
         side = k * _sum_over_sums(left, scale)
         return side, side

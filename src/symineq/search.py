@@ -11,9 +11,9 @@ This module runs the float search; the float kernels it calls are
 `symineq.symfun`'s. Its float sums are left folds (`left_sum`, in C by
 `itertools.accumulate`), never `sum()`, which compensates float sums from
 Python 3.12 on: the seeded ascent's output bytes depend on the order of
-every addition. The float objective shares the e_k row recurrence
-(`symmetric_row`) with the exact checkers and has the subset term kernels
-of `symineq.symfun` to itself: `subset_terms` over whole levels for a
+every addition. The float objective has the e_k row recurrence
+(`symmetric_row`) and the subset term kernels of `symineq.symfun` to
+itself: `subset_terms` over whole levels for a
 point, `moved_terms` in place, at the subsets that hold x_i, for the
 gradient's moved points. `_ratio` forms every point's ratio, from its
 terms and one whole e_k row, whose e_1 is the point's sum. The gradient

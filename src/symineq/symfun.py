@@ -5,13 +5,13 @@ Subsets are canonical strictly-increasing index tuples in lexicographic
 order; the seeded float objective's bytes rely on it, no exact result does.
 `symmetric_row` is the row dynamic program of the elementary symmetric
 polynomials, generic over the number type, from the int seeds 1 and 0: the
-exact checkers read e_k from it through `elementary_symmetric` (on the
-integers of a vector with its denominators cleared), and the float
-objective reads e_k and the coordinate sum e_1 from one row per point.
+float objective reads e_k and the coordinate sum e_1 from one row per
+point, and `elementary_symmetric` reads e_k from it for any number type.
 `products_by_sum` is the same recurrence on integers
 with every row keyed by subset sum, for the exact left side of the main
-bound and the k-subset side of the proof identity; one pass serves every
-requested k, since row j is the answer for k = j. Its second form,
+bound and the k-subset side of the proof identity; the exact checkers read
+e_k as the total of its row k. One pass serves every requested k, since
+row j is the answer for k = j. Its second form,
 `products_and_cofactors_by_sum`, also carries E(s), the total of e_{k-1}
 over the k-subsets with sum s (Q += b*Q' + P'), for the certificate of
 `inequality.main_verdict`; the first form keeps its one product per sum.

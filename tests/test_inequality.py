@@ -27,7 +27,7 @@ from symineq.inequality import (
     report_to_record,
     rhs_main,
 )
-from symineq.symfun import products_by_sum
+from symineq.symfun import elementary_symmetric, products_by_sum, symmetric_row
 
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
 vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
@@ -89,6 +89,25 @@ def identity_groups_oracle(ints, k):
             if a not in T:
                 grouped[s] = grouped.get(s, 0) + math.prod(ints[i] for i in T) * ints[a]
     return grouped
+
+
+def reciprocal_oracle(v):
+    # (sum_j (n-1)/(sum(v) - a_j), sum_i 1/a_i), term by term in Fractions
+    n = len(v)
+    total = v.total()
+    return sum((n - 1) / (total - a) for a in v), sum(1 / a for a in v)
+
+
+def forbid(patch, *kernels):
+    # make each kernel raise wherever a symineq module holds it
+    def unreachable(*args):
+        raise AssertionError("a forbidden kernel was reached")
+
+    for module in [m for name, m in sys.modules.items()
+                   if name == "symineq" or name.startswith("symineq.")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is kernel for kernel in kernels):
+                patch.setattr(module, attr, unreachable)
 
 
 def rhs_oracle(v, k):
@@ -195,6 +214,68 @@ def test_main_rejects_bad_k(k):
         check_main(make_vector([1, 2, 3]), k)
 
 
+# ---- one integer form and one row per vector ----
+
+@settings(deadline=None)  # the oracles enumerate up to 5 * C(8, 4) subset entries
+@given(st.lists(st.one_of(vectors2, uniform_vectors.filter(lambda v: len(v) >= 2),
+                          near_uniform_vectors.filter(lambda v: len(v) >= 2)),
+                min_size=2, max_size=2))
+def test_interleaved_vectors_each_match_their_oracles(pair):
+    # v, w, v again, then a copy of v equal to it but a distinct object:
+    # the memo serves each call the form and rows of its own vector
+    v, w = pair
+    for u in (v, w, v, make_vector(list(v))):
+        n = len(u)
+        for k in range(1, n + 1):
+            lhs, rhs = lhs_oracle(u, k), rhs_oracle(u, k)
+            report = check_main(u, k)
+            assert (report.lhs, report.rhs) == (lhs, rhs)
+            assert report.is_equality == (lhs == rhs)
+            assert rhs_main(u, k) == rhs
+        for k in range(1, n):
+            expected = identity_oracle(u, k)
+            assert proof_identity(u, k) == (expected, expected)
+        assert check_pairwise_lemma(u) == pairwise_oracle(u)
+        report = check_reciprocal_lemma(u)
+        assert (report.lhs, report.rhs) == reciprocal_oracle(u)
+
+
+def test_one_vector_builds_each_row_once_and_the_memo_lets_it_go(monkeypatch):
+    built = []
+
+    def counted(ints, ks):
+        built.append(tuple(ks))
+        return products_by_sum(ints, ks)
+
+    monkeypatch.setattr("symineq.inequality.products_by_sum", counted)
+    v, w = make_vector([1, Fraction(2, 3), 5, 7]), make_vector([2, 3])
+    held = sys.getrefcount(v)
+    for k in (1, 2, 3):
+        check_main(v, k)
+        check_proof_identity(v, k)
+    assert built == [(1,), (2,), (3,)]
+    with pytest.MonkeyPatch.context() as patch:
+        forbid(patch, symmetric_row, elementary_symmetric)
+        assert rhs_main(v, 2) == rhs_oracle(v, 2)
+        assert rhs_main(v, 4) == rhs_oracle(v, 4)  # a row built for rhs alone
+    assert built == [(1,), (2,), (3,), (4,)]
+    assert sys.getrefcount(v) == held + 1  # the memo's reference
+    # the next vector replaces v; the identity reuses a kept row, but keeps
+    # none of its own
+    proof_identity(w, 1)
+    assert sys.getrefcount(v) == held
+    assert _integer_form(w).v is w and _integer_form(w).rows == {}
+    assert built[-1] == (1,)
+
+
+def test_a_list_is_never_kept_in_the_memo():
+    # a list may change between two calls, so its form is made anew each time
+    entries = [Fraction(1), Fraction(2), Fraction(3)]
+    assert lhs_main(entries, 2) == lhs_oracle(make_vector(entries), 2)
+    entries[0] = Fraction(5)
+    assert lhs_main(entries, 2) == lhs_oracle(make_vector(entries), 2)
+
+
 # ---- the proof's certificate ----
 
 certificate_vectors = st.one_of(vectors, uniform_vectors, near_uniform_vectors,
@@ -215,7 +296,7 @@ def certificate_oracle(ints, k):
 @given(certificate_vectors, st.data())
 def test_certificate_is_its_brute_force_group_total(v, data):
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    ints, _ = _integer_form(v)
+    ints = _integer_form(v).ints
     certificate = _certificate(ints, k)
     assert certificate == certificate_oracle(ints, k)
     assert all(type(g) is int and g >= 0 for g in certificate.values())
@@ -225,8 +306,7 @@ def test_certificate_is_its_brute_force_group_total(v, data):
 def test_certificate_sums_to_the_exact_slack(v, data):
     # rhs - lhs = sum_s (B - s) * G(s)/s / (k^2 * B * L^(k-1))
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    ints, scale = _integer_form(v)
-    total = sum(ints)
+    _, ints, scale, total, _ = _integer_form(v)
     weighted = sum(Fraction((total - s) * g, s) for s, g in _certificate(ints, k).items())
     assert weighted / (k * k * total * scale ** (k - 1)) == check_main(v, k).slack
 
@@ -278,10 +358,7 @@ def test_reciprocal_second_frozen_vector():
 
 @given(vectors2)
 def test_reciprocal_matches_direct_oracle(v):
-    n = len(v)
-    total = v.total()
-    averages_side = sum((n - 1) / (total - a) for a in v)
-    reciprocal_side = sum(1 / a for a in v)
+    averages_side, reciprocal_side = reciprocal_oracle(v)
     report = check_reciprocal_lemma(v)
     assert report.lhs == averages_side
     assert report.rhs == reciprocal_side
@@ -338,14 +415,18 @@ def test_pairwise_is_its_fraction_double_sum(v):
 @given(pairwise_vectors)
 def test_pairwise_needs_no_dynamic_program_and_no_ek(v):
     # the lemma cross-checks the main bound at k = 2, so it must not reach
-    # the kernels check_main uses
-    def unreachable(*args):
-        raise AssertionError("the pairwise lemma reached a kernel of check_main")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("symineq.inequality.products_by_sum", unreachable)
-        patch.setattr("symineq.inequality.elementary_symmetric", unreachable)
-        assert check_pairwise_lemma(v) == pairwise_oracle(v)
+    # the kernels check_main uses, nor the row check_main kept for this very
+    # vector: it may share only the integer form (b, L)
+    check_main(v, 2)
+    rows = _integer_form(v).rows
+    kept = rows[2]
+    rows[2] = {s: p + 1 for s, p in kept.items()}  # read, it would show
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            forbid(patch, products_by_sum, symmetric_row, elementary_symmetric)
+            assert check_pairwise_lemma(v) == pairwise_oracle(v)
+    finally:
+        rows[2] = kept
 
 
 def test_pairwise_does_no_fraction_arithmetic_per_pair():
@@ -413,7 +494,7 @@ def test_identity_sides_agree(v):
                  colliding_vectors.filter(lambda v: 2 <= len(v) <= 9)), st.data())
 def test_identity_groupings_agree_sum_by_sum(v, data):
     k = data.draw(st.integers(min_value=1, max_value=len(v) - 1))
-    ints, _ = _integer_form(v)
+    ints = _integer_form(v).ints
     expected = identity_groups_oracle(ints, k)
     assert _identity_groups(ints, k) == (expected, expected)
 
@@ -444,8 +525,7 @@ def test_identity_reduces_each_side_of_disagreeing_groupings(monkeypatch):
 
     v = make_vector([1, Fraction(2, 3), 5, 7])
     k = 2
-    ints, _ = _integer_form(v)
-    total = sum(ints)
+    _, ints, _, total, _ = _integer_form(v)
     right_groups = identity_groups_oracle(ints, k)
     left_groups = dict(right_groups)
     first = min(left_groups)
