@@ -21,7 +21,6 @@ plain text or JSON; both are deterministic for a given invocation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -162,6 +161,7 @@ def _run_vectors(args) -> int:
             else:
                 print(_report_line(v, report))
     if args.format == "json":
+        import json  # here, so a text run does not import it
         print(json.dumps(records, indent=2))
     return 0
 
@@ -201,6 +201,7 @@ def _run_fuzz(args) -> int:
     report = fuzz(n_range, args.k_policy, args.trials, distribution, args.seed)
     n_text = "{}..{}".format(*n_range)
     if args.format == "json":
+        import json
         print(json.dumps({
             "n_range": n_text,
             "k_policy": str(args.k_policy),
@@ -231,6 +232,7 @@ def _run_maximize(args) -> int:
                             convergence_tolerance=args.tolerance,
                             max_iterations=args.max_iter)
     if args.format == "json":
+        import json
         print(json.dumps({
             "n": args.n,
             "k": args.k,

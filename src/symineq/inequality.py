@@ -20,15 +20,16 @@ Fraction at the end. A memo of one entry keeps the form of the last vector
 asked for, keyed by the vector object, so the checks of one vector clear
 its denominators once. The main bound's left side is a subset-sum dynamic
 program (`symfun.products_by_sum`), not an enumeration; its brute-force
-oracle lives in the tests. Its row k, pruned to k, is built on the first
-request and kept with the form: `lhs_main` reduces it, and `rhs_main` reads
-e_k(b) as the total of its values. `main_reports` checks many k's of one
-vector from one pass of its own, whose row k gives lhs and, summed, e_k
-for rhs; those rows are not kept. The k-subset side of the proof identity
-is the dynamic program's row, the one the main bound kept if it is there
-(the identity keeps none of its own, so it holds no more memory than it
-would without the memo), while the other side keeps its own enumeration
-of the (k+1)-subsets, so the identity cross-checks the one
+oracle lives in the tests. Its rows are kept with the form: the first k
+asked of a vector gets a pass pruned to that k, so a single-k check holds
+one row, and a second k gets one pass that builds every row, so a vector
+checked at many k's runs at most two passes. `lhs_main` reduces row k, and
+`rhs_main` reads e_k(b) as the total of its values, or, when the form does
+not hold row k, from the e_k recurrence, building no row. `main_reports`
+checks many k's of one vector from one pass of its own, whose row k gives
+lhs and, summed, e_k for rhs; those rows are not kept. The k-subset side of
+the proof identity is the form's row k, while the other side keeps its own
+enumeration of the (k+1)-subsets, so the identity cross-checks the one
 against the other: the two groupings of numerators by subset sum are
 compared sum by sum, and reduced once when they agree. `main_verdict` reads
 only the sign of the main slack, from the proof's certificate: by AM-HM
@@ -51,7 +52,12 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from symineq.exact import InputError, PositiveVector, render_scalar
-from symineq.symfun import products_and_cofactors_by_sum, products_by_sum
+from symineq.symfun import (
+    check_k,
+    products_and_cofactors_by_sum,
+    products_by_sum,
+    symmetric_row,
+)
 
 
 class Statement(Enum):
@@ -129,8 +135,8 @@ def _report(statement: Statement, v: PositiveVector, k: int,
 
 class _IntegerForm(NamedTuple):
     """A vector v with its denominators cleared: L is their lcm, b = v*L in
-    integers and B = sum(b). `rows` holds the `products_by_sum` rows the
-    main bound built for v so far, by k (`row`)."""
+    integers and B = sum(b). `rows` holds the `products_by_sum` rows built
+    for v so far, by k (`row`)."""
     v: PositiveVector
     ints: tuple[int, ...]
     scale: int
@@ -138,25 +144,36 @@ class _IntegerForm(NamedTuple):
     rows: dict[int, dict[int, int]]
 
     def row(self, k: int) -> dict[int, int]:
-        """Row k of `products_by_sum` on b, pruned to k: each k-subset sum s
-        maps to the total of prod(b_S) over the k-subsets with sum s. Built
-        on the first request and kept with the form."""
+        """Row k of `products_by_sum` on b: each k-subset sum s maps to the
+        total of prod(b_S) over the k-subsets with sum s. The first row asked
+        of the form comes from a pass pruned to its k; a later request for a
+        row the form does not hold runs one pass over every k, and the form
+        keeps every row (those it held stay as they are)."""
         row = self.rows.get(k)
         if row is None:
-            [row] = products_by_sum(self.ints, (k,))
-            self.rows[k] = row
+            if self.rows:  # a second k: one pass builds every row
+                n = len(self.ints)
+                check_k(k, n)
+                for j, built in enumerate(products_by_sum(self.ints, range(1, n + 1)), start=1):
+                    self.rows.setdefault(j, built)
+                row = self.rows[k]
+            else:
+                [row] = products_by_sum(self.ints, (k,))
+                self.rows[k] = row
         return row
 
 
 # A memo of one entry: the integer form of the last vector asked for. The
 # checks of one vector (the main bound at each k, the identity, the lemmas)
-# then clear its denominators once, and build row k once for the main
-# bound's two sides and the identity at that k. It is keyed by
+# then clear its denominators once, and run at most two dynamic program
+# passes: the first k asked for gets a pass pruned to it, so a single-k
+# check holds one row, and a second k gets one pass that builds, and keeps,
+# every row for the k's after it. It is keyed by
 # the vector object (`is`): hashing a tuple of Fractions costs more than the
 # form itself. The entry holds the vector, so its id cannot be reused while
 # the entry stands, and a new vector replaces the entry whole. Only a tuple
 # is kept, since a list could change between two calls. Threads that race
-# each get a whole entry, and at worst build a form or a row twice.
+# each get a whole entry, and at worst build a form or a pass twice.
 _memo = _IntegerForm(None, (), 1, 0, {})
 
 
@@ -212,11 +229,18 @@ def lhs_main(v: PositiveVector, k: int) -> Fraction:
 def rhs_main(v: PositiveVector, k: int) -> Fraction:
     """(n/k) * e_k(v) / sum(v) = n * e_k(b) / (k * L^(k-1) * B) on b = a*L.
 
-    e_k(b) is the total of row k of the form, the same row `lhs_main` reads.
+    e_k(b) is the total of row k when the form holds it, the row `lhs_main`
+    read; otherwise it comes from the O(n*k) recurrence (`symmetric_row`),
+    and no row is built.
     """
     form = _integer_form(v)
-    return Fraction(len(v) * sum(form.row(k).values()),
-                    k * form.scale ** (k - 1) * form.total)
+    row = form.rows.get(k)
+    if row is None:
+        check_k(k, len(v))
+        ek = symmetric_row(form.ints, k)[k]
+    else:
+        ek = sum(row.values())
+    return Fraction(len(v) * ek, k * form.scale ** (k - 1) * form.total)
 
 
 def check_main(v: PositiveVector, k: int) -> InequalityReport:
@@ -336,23 +360,16 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
 # Proof identity
 # --------------------------------------------------------------------------
 
-def _identity_groups(b: Sequence[int], k: int,
-                     row: dict[int, int] | None = None) -> tuple[dict[int, int], dict[int, int]]:
-    """The proof identity's two numerator groupings on the integers b, each
-    keyed by the k-subset sum s = sum(b_T): left maps s to the total of
-    prod(b_T) * (B - s) from row k of `products_by_sum` on b (built here
-    unless given), right to the total of prod(b_S) over the (k+1)-subsets S
+def _superset_groups(b: Sequence[int], k: int) -> dict[int, int]:
+    """The (k+1)-subset side of the proof identity on the integers b: each
+    k-subset sum s maps to the total of prod(b_S) over the (k+1)-subsets S
     and their entries a with sum(b_S) - a = s."""
-    total = sum(b)
-    if row is None:
-        [row] = products_by_sum(b, (k,))
-    left = {s: p * (total - s) for s, p in row.items()}
-    right: dict[int, int] = {}
+    groups: dict[int, int] = {}
     for s in combinations(b, k + 1):
         prod, tot = math.prod(s), sum(s)
         for a in s:
-            right[tot - a] = right.get(tot - a, 0) + prod
-    return left, right
+            groups[tot - a] = groups.get(tot - a, 0) + prod
+    return groups
 
 
 def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
@@ -366,24 +383,27 @@ def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
     With b the integer form of v and B = sum(b), w = b/B, so
     left  = k * sum_T prod(b_T) * (B - sum(b_T)) / sum(b_T) / B^k and
     right = k * sum_{S, T} prod(b_S) / sum(b_T) / B^k. Each side groups its
-    numerators by sum(b_T) (`_identity_groups`): left is the
-    `products_by_sum` dynamic program, right enumerates (k+1)-subsets and
-    their k-sub-subsets (S less one entry). The groupings agree sum by sum,
-    since the S that hold a k-subset T add up to prod(b_T) * (B - sum(b_T)).
-    When they do, one reduction serves both sides; otherwise each side is
-    reduced on its own, so a side that is off keeps its own value.
+    numerators by sum(b_T): left is row k of the `products_by_sum` dynamic
+    program, the form's (`_IntegerForm.row`), each group times B - sum(b_T);
+    right enumerates (k+1)-subsets and their k-sub-subsets, S less one entry
+    (`_superset_groups`). The groupings agree sum by sum, since the S that
+    hold a k-subset T add up to prod(b_T) * (B - sum(b_T)). When they do,
+    one reduction serves both sides; otherwise each side is reduced on its
+    own, so a side that is off keeps its own value.
     """
     n = len(v)
     if not 0 < k < n:
         raise InputError(f"the identity needs 0 < k < n, got k={k} n={n}")
     form = _integer_form(v)
-    # the row the main bound kept at this k; one built here is not kept,
-    # since it would be held through the reductions below
-    left, right = _identity_groups(form.ints, k, form.rows.get(k))
-    scale = form.total ** k
-    if left == right:
-        side = k * _sum_over_sums(left, scale)
+    row, right, total = form.row(k), _superset_groups(form.ints, k), form.total
+    scale = total ** k
+    # compared without building the left grouping, so the kept row stands in
+    # its place and the identity holds no more than the two groupings would
+    if len(right) == len(row) and all(right.get(s) == p * (total - s)
+                                      for s, p in row.items()):
+        side = k * _sum_over_sums(right, scale)
         return side, side
+    left = {s: p * (total - s) for s, p in row.items()}
     return k * _sum_over_sums(left, scale), k * _sum_over_sums(right, scale)
 
 

@@ -10,7 +10,8 @@ point, and `elementary_symmetric` reads e_k from it for any number type.
 `products_by_sum` is the same recurrence on integers
 with every row keyed by subset sum, for the exact left side of the main
 bound and the k-subset side of the proof identity; the exact checkers read
-e_k as the total of its row k. One pass serves every requested k, since
+e_k as the total of its row k, or, where no row k was built, from
+`symmetric_row` on the integers. One pass serves every requested k, since
 row j is the answer for k = j. Its second form,
 `products_and_cofactors_by_sum`, also carries E(s), the total of e_{k-1}
 over the k-subsets with sum s (Q += b*Q' + P'), for the certificate of

@@ -20,6 +20,7 @@ import symineq
 from symineq.cli import main
 from symineq.exact import make_vector
 from symineq.inequality import Statement, Violation, check_main, main_sides, report_to_record
+from symineq.symfun import products_by_sum
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -262,6 +263,28 @@ def test_file_input_skips_comments_and_blanks(tmp_path):
 
     as_json = run_cli("check", "--file", str(corpus), "--k", "2", "--format", "json")
     assert [r["n"] for r in json.loads(as_json.stdout)] == [3, 3, 2]
+
+
+@pytest.mark.parametrize("command", ["check", "identity"])
+def test_single_k_commands_run_one_pruned_pass_per_vector(command, monkeypatch, capsys,
+                                                          tmp_path):
+    # check --k and identity --k hold one row per vector: each vector, the
+    # same values twice included, gets one pass pruned to K, never the pass
+    # that builds every row
+    built = []
+
+    def counted(ints, ks):
+        built.append(tuple(ks))
+        return products_by_sum(ints, ks)
+
+    monkeypatch.setattr("symineq.inequality.products_by_sum", counted)
+    corpus = tmp_path / "vectors.txt"
+    corpus.write_text("1 2/3 5 7\n1 2/3 5 7\n4 1 3 3 9\n")
+    assert main([command, "--values", "1,2/3,5,7", "--k", "2"]) == 0
+    assert built == [(2,)]
+    assert main([command, "--file", str(corpus), "--k", "3", "--format", "json"]) == 0
+    assert built == [(2,), (3,), (3,), (3,)]
+    assert len(capsys.readouterr().out.splitlines()) > 1
 
 
 def test_fuzz_json_schema():
@@ -659,13 +682,14 @@ def test_fuzz_with_violations_exits_2(monkeypatch, capsys):
 
 def test_import_leaves_numpy_out():
     # the package has no runtime dependencies; this keeps numpy from creeping
-    # back, and dataclasses (which loads inspect) with it. Only what the import
-    # itself loads counts: a site hook may load inspect before it.
+    # back, and dataclasses (which loads inspect) with it, and json, which only
+    # a --format json run imports. Only what the import itself loads counts: a
+    # site hook may load inspect before it.
     probe = ("import sys; before = set(sys.modules); import symineq, symineq.cli; "
              "print([m in set(sys.modules) - before for m in "
-             "('numpy', 'dataclasses', 'inspect')])")
+             "('numpy', 'dataclasses', 'inspect', 'json')])")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert result.stdout == "[False, False, False]\n", result.stderr
+    assert result.stdout == "[False, False, False, False]\n", result.stderr
 
 
 def test_public_names_are_pinned():

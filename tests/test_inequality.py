@@ -13,9 +13,9 @@ from symineq.inequality import (
     Statement,
     Violation,
     _certificate,
-    _identity_groups,
     _integer_form,
     _sum_over_sums,
+    _superset_groups,
     check_main,
     check_pairwise_lemma,
     check_proof_identity,
@@ -240,32 +240,80 @@ def test_interleaved_vectors_each_match_their_oracles(pair):
         assert (report.lhs, report.rhs) == reciprocal_oracle(u)
 
 
-def test_one_vector_builds_each_row_once_and_the_memo_lets_it_go(monkeypatch):
-    built = []
-
+def counting(built):
+    # products_by_sum, recording the ks of each pass in built
     def counted(ints, ks):
         built.append(tuple(ks))
         return products_by_sum(ints, ks)
 
-    monkeypatch.setattr("symineq.inequality.products_by_sum", counted)
+    return counted
+
+
+def test_one_vector_runs_two_passes_and_the_memo_lets_it_go(monkeypatch):
+    built = []
+    monkeypatch.setattr("symineq.inequality.products_by_sum", counting(built))
     v, w = make_vector([1, Fraction(2, 3), 5, 7]), make_vector([2, 3])
     held = sys.getrefcount(v)
     for k in (1, 2, 3):
         check_main(v, k)
         check_proof_identity(v, k)
-    assert built == [(1,), (2,), (3,)]
+        # the first k: one pass pruned to it; a second k: one pass that
+        # builds every row, so k = 3 and its identity run none
+        assert built == [(1,), (1, 2, 3, 4)][:min(k, 2)]
     with pytest.MonkeyPatch.context() as patch:
         forbid(patch, symmetric_row, elementary_symmetric)
         assert rhs_main(v, 2) == rhs_oracle(v, 2)
-        assert rhs_main(v, 4) == rhs_oracle(v, 4)  # a row built for rhs alone
-    assert built == [(1,), (2,), (3,), (4,)]
+        assert rhs_main(v, 4) == rhs_oracle(v, 4)  # row 4 came with that pass
+    assert built == [(1,), (1, 2, 3, 4)]
     assert sys.getrefcount(v) == held + 1  # the memo's reference
-    # the next vector replaces v; the identity reuses a kept row, but keeps
-    # none of its own
-    proof_identity(w, 1)
+    # the next vector replaces v; a lone rhs_main takes e_k from the
+    # recurrence and builds no row, and the identity keeps the one it builds
+    assert rhs_main(w, 2) == rhs_oracle(w, 2)
     assert sys.getrefcount(v) == held
     assert _integer_form(w).v is w and _integer_form(w).rows == {}
-    assert built[-1] == (1,)
+    assert built == [(1,), (1, 2, 3, 4)]
+    proof_identity(w, 1)
+    assert built[-1] == (1,) and list(_integer_form(w).rows) == [1]
+
+
+request_vectors = st.one_of(vectors, wide_vectors,
+                            colliding_vectors.filter(lambda v: len(v) <= 9))
+
+
+@settings(deadline=None)  # the oracles enumerate up to 18 * C(9, 5) subsets
+@given(request_vectors, st.data())
+def test_one_vectors_requests_in_any_order_match_their_oracles_in_two_passes(v, data):
+    # every k of 1..n, some more than once, in a drawn order, each through a
+    # drawn reader; a fresh object, so no earlier form serves it
+    n, u = len(v), make_vector(list(v))
+    repeats = data.draw(st.lists(st.integers(min_value=1, max_value=n), max_size=n))
+    ks = data.draw(st.permutations(list(range(1, n + 1)) + repeats))
+    readers = ("check_main", "lhs_main", "rhs_main", "proof_identity")
+    requests = [(data.draw(st.sampled_from(readers[:3] if k == n else readers)), k)
+                for k in ks]
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("symineq.inequality.products_by_sum", counting(built))
+        for reader, k in requests:
+            if reader == "check_main":
+                report = check_main(u, k)
+                assert (report.lhs, report.rhs) == (lhs_oracle(u, k), rhs_oracle(u, k))
+                assert report.is_equality == (report.lhs == report.rhs)
+            elif reader == "lhs_main":
+                assert lhs_main(u, k) == lhs_oracle(u, k)
+            elif reader == "rhs_main":
+                assert rhs_main(u, k) == rhs_oracle(u, k)
+            else:
+                expected = identity_oracle(u, k)
+                assert proof_identity(u, k) == (expected, expected)
+    # rhs_main builds no row; the first k read gets a pruned pass, and any
+    # other k one pass over every k
+    read = [k for reader, k in requests if reader != "rhs_main"]
+    expected = [(read[0],)] if read else []
+    if any(k != read[0] for k in read):
+        expected.append(tuple(range(1, n + 1)))
+    assert built == expected
+    assert len(built) <= 2
 
 
 def test_a_list_is_never_kept_in_the_memo():
@@ -494,9 +542,11 @@ def test_identity_sides_agree(v):
                  colliding_vectors.filter(lambda v: 2 <= len(v) <= 9)), st.data())
 def test_identity_groupings_agree_sum_by_sum(v, data):
     k = data.draw(st.integers(min_value=1, max_value=len(v) - 1))
-    ints = _integer_form(v).ints
-    expected = identity_groups_oracle(ints, k)
-    assert _identity_groups(ints, k) == (expected, expected)
+    form = _integer_form(v)
+    expected = identity_groups_oracle(form.ints, k)
+    # the k-subset side is row k weighted by B - s
+    assert {s: p * (form.total - s) for s, p in form.row(k).items()} == expected
+    assert _superset_groups(form.ints, k) == expected
 
 
 @given(vectors2, st.data())
