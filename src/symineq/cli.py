@@ -36,7 +36,6 @@ from symineq.inequality import (
     check_pairwise_lemma,
     check_proof_identity,
     check_reciprocal_lemma,
-    main_reports,
     report_to_record,
 )
 from symineq.search import Distribution, fuzz, maximize_ratio
@@ -167,10 +166,8 @@ def _run_vectors(args) -> int:
 
 
 def _check_reports(args, v: PositiveVector):
-    if args.all_k:
-        yield from main_reports(v, range(1, len(v) + 1))
-    else:
-        yield check_main(v, args.k)
+    for k in range(1, len(v) + 1) if args.all_k else (args.k,):
+        yield check_main(v, k)
 
 
 def _lemma_reports(args, v: PositiveVector):

@@ -25,9 +25,9 @@ asked of a vector gets a pass pruned to that k, so a single-k check holds
 one row, and a second k gets one pass that builds every row, so a vector
 checked at many k's runs at most two passes. `lhs_main` reduces row k, and
 `rhs_main` reads e_k(b) as the total of its values, or, when the form does
-not hold row k, from the e_k recurrence, building no row. `main_reports`
-checks many k's of one vector from one pass of its own, whose row k gives
-lhs and, summed, e_k for rhs; those rows are not kept. The k-subset side of
+not hold row k, from the e_k recurrence, building no row. These two are
+the only statement of the bound's sides, and the form the only caller of
+the dynamic program; every caller reads them k by k. The k-subset side of
 the proof identity is the form's row k, while the other side keeps its own
 enumeration of the (k+1)-subsets, so the identity cross-checks the one
 against the other: the two groupings of numerators by subset sum are
@@ -49,7 +49,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from symineq.exact import InputError, PositiveVector, render_scalar
 from symineq.symfun import (
@@ -251,30 +251,6 @@ def check_main(v: PositiveVector, k: int) -> InequalityReport:
     for 1 < k < n equality holds exactly when all entries are equal.
     """
     return _report(Statement.MAIN_THEOREM, v, k, lhs_main(v, k), rhs_main(v, k))
-
-
-def main_sides(v: PositiveVector,
-               ks: Sequence[int]) -> Iterator[tuple[int, Fraction, Fraction]]:
-    """(k, lhs_main(v, k), rhs_main(v, k)) for each k in ks, in order.
-
-    One `products_by_sum` pass over the integer form serves every k: row k
-    gives lhs as in `lhs_main`, and its values sum to e_k(b) for rhs as in
-    `rhs_main`. Each k is reduced to its two Fractions when its turn comes.
-    The rows are its own and are not kept with the form.
-    """
-    _, ints, scale, total, _ = _integer_form(v)
-    for k, row in zip(ks, products_by_sum(ints, ks)):
-        weight = scale ** (k - 1)
-        yield (k, _sum_over_sums(row, weight),
-               Fraction(len(v) * sum(row.values()), k * weight * total))
-
-
-def main_reports(v: PositiveVector, ks: Sequence[int]) -> Iterator[InequalityReport]:
-    """check_main(v, k) for each k in ks, in order, from one dynamic program
-    pass (`main_sides`). A violation at some k is raised after the reports
-    of the k's before it have been yielded."""
-    for k, lhs, rhs in main_sides(v, ks):
-        yield _report(Statement.MAIN_THEOREM, v, k, lhs, rhs)
 
 
 def _certificate(ints: Sequence[int], k: int) -> dict[int, int]:

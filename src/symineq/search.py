@@ -4,8 +4,9 @@ Two harnesses live here: seeded randomized fuzzing, where every candidate is
 evaluated through the exact checker (floats never decide a verdict), and
 ratio maximization over the unit simplex, which demonstrates tightness by
 ascending the (float) ratio of the two sides toward the uniform point and
-then re-certifying the final iterate exactly. A fuzz trial checks all of its
-k's on one vector from one subset-sum dynamic program pass.
+then re-certifying the final iterate exactly. A fuzz trial checks each of
+its k's through `inequality.lhs_main` and `rhs_main`, whose integer form
+runs at most two subset-sum dynamic program passes per vector.
 
 This module runs the float search; the float kernels it calls are
 `symineq.symfun`'s. Its float sums are left folds (`left_sum`, in C by
@@ -40,7 +41,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
-from symineq.inequality import main_sides, main_verdict
+from symineq.inequality import lhs_main, main_verdict, rhs_main
 from symineq.symfun import moved_terms, subset_terms, symmetric_row
 
 # Coordinates never drop below this during projection: the bound's domain is
@@ -114,8 +115,10 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     """Run seeded random trials through the exact main-bound checker.
 
     Each trial draws n uniformly from the sub-range of n_range that admits
-    the k policy, samples one vector, and checks every selected k from one
-    dynamic program pass (`main_sides`). The minimum slack and its witness
+    the k policy, samples one vector, and checks every selected k, reading
+    lhs_main before rhs_main, so rhs_main takes e_k from the row lhs_main
+    kept: the vector's integer form runs a pass pruned to its first k and,
+    for a second k, one pass for every row. The minimum slack and its witness
     are tracked with a deterministic tie-break (slack, then witness entries
     lexicographically, then k), so identical seeds reproduce the report bit
     for bit. A negative slack counts as a violation and the run goes on, so
@@ -149,9 +152,10 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     for _ in range(trials):
         n = rng.randint(lo, hi)
         v = distribution.sample(rng, n)
-        for k, lhs, rhs in main_sides(v, ks_at(n)):
+        for k in ks_at(n):
             checks += 1
-            slack = rhs - lhs
+            lhs = lhs_main(v, k)
+            slack = rhs_main(v, k) - lhs
             if slack < 0:
                 violations += 1
             candidate = (slack, v, k)

@@ -12,7 +12,8 @@ with every row keyed by subset sum, for the exact left side of the main
 bound and the k-subset side of the proof identity; the exact checkers read
 e_k as the total of its row k, or, where no row k was built, from
 `symmetric_row` on the integers. One pass serves every requested k, since
-row j is the answer for k = j. Its second form,
+row j is the answer for k = j; its one caller, `inequality`'s integer
+form, asks for a vector's first k alone, then for every row. Its second form,
 `products_and_cofactors_by_sum`, also carries E(s), the total of e_{k-1}
 over the k-subsets with sum s (Q += b*Q' + P'), for the certificate of
 `inequality.main_verdict`; the first form keeps its one product per sum.

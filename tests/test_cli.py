@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import symineq
 from symineq.cli import main
 from symineq.exact import make_vector
-from symineq.inequality import Statement, Violation, check_main, main_sides, report_to_record
+from symineq.inequality import Statement, Violation, check_main, report_to_record
 from symineq.symfun import products_by_sum
 
 ROOT = Path(__file__).parent.parent
@@ -651,11 +651,13 @@ def test_violation_keeps_earlier_report_lines(monkeypatch, capsys, tmp_path):
 
 
 def test_all_k_violation_keeps_the_lines_of_earlier_k(monkeypatch, capsys):
-    def second_k_inverted(v, ks):
-        for k, lhs, rhs in main_sides(v, ks):
-            yield (k, rhs + 1, rhs) if k == 2 else (k, lhs, rhs)
+    lhs_main, rhs_main = symineq.inequality.lhs_main, symineq.inequality.rhs_main
 
-    monkeypatch.setattr("symineq.inequality.main_sides", second_k_inverted)
+    def second_k_inverted(v, k):
+        lhs = lhs_main(v, k)  # keeps the row rhs_main reads
+        return rhs_main(v, k) + 1 if k == 2 else lhs
+
+    monkeypatch.setattr("symineq.inequality.lhs_main", second_k_inverted)
     code = main(["check", "--values", "1,2,3", "--all-k"])
     captured = capsys.readouterr()
     assert code == 2
@@ -666,11 +668,9 @@ def test_all_k_violation_keeps_the_lines_of_earlier_k(monkeypatch, capsys):
 
 
 def test_fuzz_with_violations_exits_2(monkeypatch, capsys):
-    def inverted(v, ks):
-        # deliberately inverted sides standing in for a falsified bound
-        return [(k, Fraction(3), Fraction(2)) for k in ks]
-
-    monkeypatch.setattr("symineq.search.main_sides", inverted)
+    # deliberately inverted sides standing in for a falsified bound
+    monkeypatch.setattr("symineq.search.lhs_main", lambda v, k: Fraction(3))
+    monkeypatch.setattr("symineq.search.rhs_main", lambda v, k: Fraction(2))
     code = main(["fuzz", "--n", "3..3", "--trials", "5", "--seed", "0"])
     captured = capsys.readouterr()
     assert code == 2

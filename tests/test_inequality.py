@@ -1,5 +1,6 @@
 import fractions
 import math
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symineq.cli import main
 from symineq.exact import InputError, make_vector, parse_scalar
 from symineq.inequality import (
     InequalityReport,
@@ -21,12 +23,12 @@ from symineq.inequality import (
     check_proof_identity,
     check_reciprocal_lemma,
     lhs_main,
-    main_reports,
     main_verdict,
     proof_identity,
     report_to_record,
     rhs_main,
 )
+from symineq.search import Distribution, FuzzReport, fuzz
 from symineq.symfun import elementary_symmetric, products_by_sum, symmetric_row
 
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
@@ -146,14 +148,44 @@ def test_lhs_matches_oracle_on_colliding_sums_and_wide_rationals(v):
         assert lhs_main(v, k) == lhs_oracle(v, k)
 
 
-@settings(deadline=None)
-@given(st.one_of(vectors, colliding_vectors, wide_vectors), st.data())
-def test_one_pass_reports_equal_check_main_at_every_k(v, data):
-    # every k of one vector from one pass, against a pruned pass per k
-    ks = data.draw(st.one_of(
-        st.just(range(1, len(v) + 1)),
-        st.lists(st.integers(min_value=1, max_value=len(v)), min_size=1, max_size=4)))
-    assert list(main_reports(v, ks)) == [check_main(v, k) for k in ks]
+def fuzz_oracle(n_range, k_policy, trials, distribution, seed):
+    # fuzz's report from the same draws, each (v, k) scored by the
+    # brute-force sides; min keeps the first of equal candidates, as fuzz does
+    lo, hi = n_range
+    if isinstance(k_policy, int):
+        lo, ks_at = max(lo, k_policy), lambda n: [k_policy]
+    elif k_policy == "interior":
+        lo, ks_at = max(lo, 3), lambda n: range(2, n)
+    else:
+        ks_at = lambda n: range(1, n + 1)
+    rng = random.Random(seed)
+    scored = []
+    for _ in range(trials):
+        n = rng.randint(lo, hi)
+        v = distribution.sample(rng, n)
+        scored += [(rhs_oracle(v, k) - lhs_oracle(v, k), tuple(v), k) for k in ks_at(n)]
+    slack, witness, k = min(scored)
+    return FuzzReport(checks=len(scored), violations=sum(c[0] < 0 for c in scored),
+                      min_slack=slack, witness=witness, witness_k=k)
+
+
+distributions = st.one_of(
+    st.builds(Distribution, st.sampled_from(["integers", "rationals"]),
+              st.integers(min_value=1, max_value=100)),
+    st.builds(Distribution, st.just("near-uniform"),
+              epsilon=st.integers(min_value=2, max_value=10 ** 6).map(lambda q: Fraction(1, q))))
+
+
+@settings(deadline=None)  # the oracle enumerates up to 6 * 127 subsets
+@given(distributions, st.integers(min_value=3, max_value=7), st.data())
+def test_fuzz_report_equals_its_brute_force_oracle(distribution, hi, data):
+    lo = data.draw(st.integers(min_value=1, max_value=hi))
+    k_policy = data.draw(st.one_of(st.sampled_from(["interior", "all"]),
+                                   st.integers(min_value=1, max_value=hi)))
+    trials = data.draw(st.integers(min_value=1, max_value=6))
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
+    args = (lo, hi), k_policy, trials, distribution, seed
+    assert fuzz(*args) == fuzz_oracle(*args)
 
 
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(7, 3)])
@@ -274,6 +306,51 @@ def test_one_vector_runs_two_passes_and_the_memo_lets_it_go(monkeypatch):
     assert built == [(1,), (1, 2, 3, 4)]
     proof_identity(w, 1)
     assert built[-1] == (1,) and list(_integer_form(w).rows) == [1]
+
+
+@pytest.mark.parametrize("flags, ks_at", [
+    ((), lambda n: range(1, n + 1)),
+    (("--exclude-boundary",), lambda n: range(2, n)),
+    (("--k", "3"), lambda n: (3,)),
+])
+def test_fuzz_runs_a_pass_pruned_to_the_first_k_then_one_for_every_row(
+        flags, ks_at, monkeypatch, capsys):
+    # lhs_main reads each k first, so rhs_main takes e_k from the row it
+    # kept and never from the recurrence; a single k holds one pruned row
+    built = []
+    monkeypatch.setattr("symineq.inequality.products_by_sum", counting(built))
+    forbid(monkeypatch, symmetric_row, elementary_symmetric)
+    assert main(["fuzz", "--n", "3..6", "--trials", "12", "--seed", "5", *flags]) == 0
+    rng, expected = random.Random(5), []
+    for _ in range(12):
+        n = rng.randint(3, 6)
+        Distribution("integers").sample(rng, n)
+        ks = ks_at(n)
+        expected += [(ks[0],)] + ([tuple(range(1, n + 1))] if len(ks) > 1 else [])
+    assert built == expected
+    assert "violations: 0" in capsys.readouterr().out
+
+
+def test_check_prints_the_first_k_before_the_pass_for_every_row(monkeypatch, capsys):
+    # --all-k prints its k = 1 line from the pruned pass, then one pass
+    # serves k = 2..n; --k K runs the one pass pruned to K
+    built, printed = [], []
+    count = counting(built)
+
+    def counted(ints, ks):
+        printed.append(capsys.readouterr().out)  # the lines printed before this pass
+        return count(ints, ks)
+
+    monkeypatch.setattr("symineq.inequality.products_by_sum", counted)
+    forbid(monkeypatch, symmetric_row, elementary_symmetric)
+    assert main(["check", "--values", "1,2/3,5,7", "--all-k"]) == 0
+    assert built == [(1,), (1, 2, 3, 4)]
+    assert printed == ["", "MainTheorem n=4 k=1 v=(1, 2/3, 5, 7): lhs=4 rhs=4 slack=0"
+                           " equality [identity (always equality)]\n"]
+    assert [line.split()[2] for line in capsys.readouterr().out.splitlines()] == [
+        "k=2", "k=3", "k=4"]
+    assert main(["check", "--values", "1,2/3,5,7", "--k", "3"]) == 0
+    assert built == [(1,), (1, 2, 3, 4), (3,)]
 
 
 request_vectors = st.one_of(vectors, wide_vectors,

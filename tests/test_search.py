@@ -195,11 +195,9 @@ def test_fuzz_policy_validation():
 
 
 def test_fuzz_counts_violations_and_keeps_negative_min_slack(monkeypatch):
-    def inverted(v, ks):
-        # deliberately inverted sides standing in for a falsified bound
-        return [(k, Fraction(2), Fraction(1)) for k in ks]
-
-    monkeypatch.setattr("symineq.search.main_sides", inverted)
+    # deliberately inverted sides standing in for a falsified bound
+    monkeypatch.setattr("symineq.search.lhs_main", lambda v, k: Fraction(2))
+    monkeypatch.setattr("symineq.search.rhs_main", lambda v, k: Fraction(1))
     report = fuzz((3, 3), 2, 25, Distribution("integers", bound=5), seed=0)
     assert report.violations == 25
     assert report.min_slack == -1
