@@ -16,31 +16,30 @@ negative slack is raised as `Violation`, never returned in a report (an
 
 Every check works on the integer form of v: the denominators are cleared
 (b = v*L, L their lcm), the sums run on ints, and each side builds one
-Fraction at the end. A memo of one entry keeps the form of the last vector
-asked for, keyed by the vector object, so the checks of one vector clear
-its denominators once. The main bound's left side is a subset-sum dynamic
-program (`symfun.products_by_sum`), not an enumeration; its brute-force
-oracle lives in the tests. Its rows are kept with the form: the first k
-asked of a vector gets a pass pruned to that k, so a single-k check holds
-one row, and a second k gets one pass that builds every row, so a vector
-checked at many k's runs at most two passes. `lhs_main` reduces row k, and
-`rhs_main` reads e_k(b) as the total of its values, or, when the form does
-not hold row k, from the e_k recurrence, building no row. These two are
-the only statement of the bound's sides, and the form the only caller of
-the dynamic program; every caller reads them k by k. The k-subset side of
-the proof identity is the form's row k, while the other side keeps its own
-enumeration of the (k+1)-subsets, so the identity cross-checks the one
-against the other: the two groupings of numerators by subset sum are
-compared sum by sum, and reduced once when they agree. `main_verdict` reads
-only the sign of the main slack, from the proof's certificate: by AM-HM
-each k-subset sum s carries an integer G(s) >= 0, and the slack is 0
-exactly when they all are (below the total), so the sign needs no Fraction
-and no gcd. The reciprocal lemma groups its terms by denominator. The
-pairwise lemma is a literal double loop over the pairs of the integer
-form, grouped by pair sum; it reads neither a row of the dynamic program
-nor e_k, so it stays an independent cross-check of the main bound at
-k = 2. An argument outside a statement's domain (k outside 1..n, or n < 2
-for the lemmas) raises `InputError`.
+Fraction at the end. The form also holds the row e_0..e_n of b, from the
+e_k recurrence (`symfun.symmetric_row`); its e_1 is B = sum(b). A memo of
+one entry keeps the form of the last vector asked for, keyed by the vector
+object, so the checks of one vector build it once. The main bound's left
+side is a subset-sum dynamic program (`symfun.products_by_sum`), not an
+enumeration; its brute-force oracle lives in the tests. Its rows are kept
+with the form, at most two passes per vector (`_IntegerForm.row`).
+`lhs_main` reduces row k and `rhs_main` reads e_k(b) from the e row, so
+neither side depends on what was asked before it. These two are the only
+statement of the bound's sides, and the form the only caller of the
+dynamic program. The k-subset side of the proof identity is the form's
+row k, while the other side keeps its own enumeration of the
+(k+1)-subsets, so the identity cross-checks the one against the other:
+the two groupings of numerators by subset sum are compared sum by sum, and
+reduced once when they agree. `main_verdict` reads only the sign of the
+main slack, from the proof's certificate: by AM-HM each k-subset sum s
+carries an integer G(s) >= 0, and the slack is 0 exactly when they all
+are (below the total), so the sign needs no Fraction and no gcd. The
+reciprocal lemma groups its terms by denominator. The pairwise lemma is a
+literal double loop over the pairs of the integer form, grouped by pair
+sum; it reads neither a row of the dynamic program nor e_2, only B, so it
+stays an independent cross-check of the main bound at k = 2. An argument
+outside a statement's domain (k outside 1..n, or n < 2 for the lemmas)
+raises `InputError`.
 """
 
 from __future__ import annotations
@@ -135,20 +134,26 @@ def _report(statement: Statement, v: PositiveVector, k: int,
 
 class _IntegerForm(NamedTuple):
     """A vector v with its denominators cleared: L is their lcm, b = v*L in
-    integers and B = sum(b). `rows` holds the `products_by_sum` rows built
-    for v so far, by k (`row`)."""
+    integers, e the row (e_0, ..., e_n) of b (`symmetric_row`) and B = sum(b)
+    its e_1. `rows` holds the `products_by_sum` rows built for v so far, by
+    k (`row`)."""
     v: PositiveVector
     ints: tuple[int, ...]
     scale: int
-    total: int
+    e: list[int]
     rows: dict[int, dict[int, int]]
+
+    @property
+    def total(self) -> int:
+        return self.e[1]
 
     def row(self, k: int) -> dict[int, int]:
         """Row k of `products_by_sum` on b: each k-subset sum s maps to the
-        total of prod(b_S) over the k-subsets with sum s. The first row asked
-        of the form comes from a pass pruned to its k; a later request for a
-        row the form does not hold runs one pass over every k, and the form
-        keeps every row (those it held stay as they are)."""
+        total of prod(b_S) over the k-subsets with sum s. A vector runs at
+        most two passes: the first row asked of the form comes from a pass
+        pruned to its k, so a single-k check holds one row, and a later
+        request for a row the form does not hold runs one pass over every
+        k, after which the form keeps every row (those it held stay)."""
         row = self.rows.get(k)
         if row is None:
             if self.rows:  # a second k: one pass builds every row
@@ -163,18 +168,15 @@ class _IntegerForm(NamedTuple):
         return row
 
 
-# A memo of one entry: the integer form of the last vector asked for. The
-# checks of one vector (the main bound at each k, the identity, the lemmas)
-# then clear its denominators once, and run at most two dynamic program
-# passes: the first k asked for gets a pass pruned to it, so a single-k
-# check holds one row, and a second k gets one pass that builds, and keeps,
-# every row for the k's after it. It is keyed by
-# the vector object (`is`): hashing a tuple of Fractions costs more than the
-# form itself. The entry holds the vector, so its id cannot be reused while
-# the entry stands, and a new vector replaces the entry whole. Only a tuple
-# is kept, since a list could change between two calls. Threads that race
-# each get a whole entry, and at worst build a form or a pass twice.
-_memo = _IntegerForm(None, (), 1, 0, {})
+# A memo of one entry: the integer form of the last vector asked for, so the
+# checks of one vector clear its denominators, build its e row and run their
+# passes once. It is keyed by the vector object (`is`): hashing a tuple of
+# Fractions costs more than the form itself. The entry holds the vector, so
+# its id cannot be reused while the entry stands, and a new vector replaces
+# the entry whole. Only a tuple is kept, since a list could change between
+# two calls. Threads that race each get a whole entry, and at worst build a
+# form or a pass twice.
+_memo = _IntegerForm(None, (), 1, [1, 0], {})
 
 
 def _integer_form(v: PositiveVector) -> _IntegerForm:
@@ -184,7 +186,7 @@ def _integer_form(v: PositiveVector) -> _IntegerForm:
     if form.v is not v:
         scale = math.lcm(*(a.denominator for a in v))
         ints = tuple([a.numerator * (scale // a.denominator) for a in v])
-        form = _IntegerForm(v, ints, scale, sum(ints), {})
+        form = _IntegerForm(v, ints, scale, symmetric_row(ints, len(ints)), {})
         if isinstance(v, tuple):
             _memo = form
     return form
@@ -227,20 +229,14 @@ def lhs_main(v: PositiveVector, k: int) -> Fraction:
 
 
 def rhs_main(v: PositiveVector, k: int) -> Fraction:
-    """(n/k) * e_k(v) / sum(v) = n * e_k(b) / (k * L^(k-1) * B) on b = a*L.
-
-    e_k(b) is the total of row k when the form holds it, the row `lhs_main`
-    read; otherwise it comes from the O(n*k) recurrence (`symmetric_row`),
-    and no row is built.
+    """(n/k) * e_k(v) / sum(v) = n * e_k(b) / (k * L^(k-1) * B) on b = a*L,
+    with e_k(b) and B = e_1(b) read from the form's e row. It reads no row
+    of the dynamic program, so no earlier call changes what it returns.
     """
+    n = len(v)
+    check_k(k, n)
     form = _integer_form(v)
-    row = form.rows.get(k)
-    if row is None:
-        check_k(k, len(v))
-        ek = symmetric_row(form.ints, k)[k]
-    else:
-        ek = sum(row.values())
-    return Fraction(len(v) * ek, k * form.scale ** (k - 1) * form.total)
+    return Fraction(n * form.e[k], k * form.scale ** (k - 1) * form.total)
 
 
 def check_main(v: PositiveVector, k: int) -> InequalityReport:
@@ -297,7 +293,8 @@ def check_reciprocal_lemma(v: PositiveVector) -> InequalityReport:
         raise InputError(f"the reciprocal lemma needs n >= 2, got n={n}")
     # On the integer form b = v*L with B = sum(b): (n-1)/(sum(v) - a_j) is
     # (n-1)*L/(B - b_j) and 1/a_i is L/b_i. Equal denominators are grouped.
-    _, ints, scale, total, _ = _integer_form(v)
+    form = _integer_form(v)
+    ints, scale, total = form.ints, form.scale, form.total
     averages: dict[int, int] = {}
     reciprocals: dict[int, int] = {}
     for b in ints:
@@ -320,7 +317,8 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
     n = len(v)
     if n < 2:
         raise InputError(f"the pairwise lemma needs n >= 2, got n={n}")
-    _, ints, scale, total, _ = _integer_form(v)
+    form = _integer_form(v)
+    ints, scale, total = form.ints, form.scale, form.total
     by_sum: dict[int, int] = {}
     pair_products = 0
     for i in range(n):

@@ -5,8 +5,9 @@ evaluated through the exact checker (floats never decide a verdict), and
 ratio maximization over the unit simplex, which demonstrates tightness by
 ascending the (float) ratio of the two sides toward the uniform point and
 then re-certifying the final iterate exactly. A fuzz trial checks each of
-its k's through `inequality.lhs_main` and `rhs_main`, whose integer form
-runs at most two subset-sum dynamic program passes per vector.
+its k's through `inequality.lhs_main` and `rhs_main`, which share the
+vector's integer form: one e row and at most two subset-sum dynamic
+program passes per vector.
 
 This module runs the float search; the float kernels it calls are
 `symineq.symfun`'s. Its float sums are left folds (`left_sum`, in C by
@@ -115,15 +116,14 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     """Run seeded random trials through the exact main-bound checker.
 
     Each trial draws n uniformly from the sub-range of n_range that admits
-    the k policy, samples one vector, and checks every selected k, reading
-    lhs_main before rhs_main, so rhs_main takes e_k from the row lhs_main
-    kept: the vector's integer form runs a pass pruned to its first k and,
-    for a second k, one pass for every row. The minimum slack and its witness
-    are tracked with a deterministic tie-break (slack, then witness entries
-    lexicographically, then k), so identical seeds reproduce the report bit
-    for bit. A negative slack counts as a violation and the run goes on, so
-    a violation surfaces as a negative min_slack with its exact witness
-    attached.
+    the k policy, samples one vector, and checks every selected k by
+    rhs_main - lhs_main: the vector's integer form runs a pass pruned to its
+    first k and, for a second k, one pass for every row. The minimum slack
+    and its witness are tracked with a deterministic tie-break (slack, then
+    witness entries lexicographically, then k), so identical seeds reproduce
+    the report bit for bit. A negative slack counts as a violation and the
+    run goes on, so a violation surfaces as a negative min_slack with its
+    exact witness attached.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:
@@ -154,8 +154,7 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
         v = distribution.sample(rng, n)
         for k in ks_at(n):
             checks += 1
-            lhs = lhs_main(v, k)
-            slack = rhs_main(v, k) - lhs
+            slack = rhs_main(v, k) - lhs_main(v, k)
             if slack < 0:
                 violations += 1
             candidate = (slack, v, k)

@@ -4,16 +4,16 @@ by subset sum, and subset terms over shared prefixes.
 Subsets are canonical strictly-increasing index tuples in lexicographic
 order; the seeded float objective's bytes rely on it, no exact result does.
 `symmetric_row` is the row dynamic program of the elementary symmetric
-polynomials, generic over the number type, from the int seeds 1 and 0: the
-float objective reads e_k and the coordinate sum e_1 from one row per
-point, and `elementary_symmetric` reads e_k from it for any number type.
-`products_by_sum` is the same recurrence on integers
-with every row keyed by subset sum, for the exact left side of the main
-bound and the k-subset side of the proof identity; the exact checkers read
-e_k as the total of its row k, or, where no row k was built, from
-`symmetric_row` on the integers. One pass serves every requested k, since
-row j is the answer for k = j; its one caller, `inequality`'s integer
-form, asks for a vector's first k alone, then for every row. Its second form,
+polynomials, generic over the number type, from the int seeds 1 and 0, and
+the one source of e_k: the float objective reads e_k and the coordinate
+sum e_1 from one row per point, the exact checkers read them from one
+integer row per vector (`inequality`'s integer form), and
+`elementary_symmetric` reads e_k from it for any number type.
+`products_by_sum` is the same recurrence on integers with every row keyed
+by subset sum, for the exact left side of the main bound and the k-subset
+side of the proof identity. One pass serves every requested k, since row j
+is the answer for k = j; its one caller, the integer form, asks for a
+vector's first k alone, then for every row. Its second form,
 `products_and_cofactors_by_sum`, also carries E(s), the total of e_{k-1}
 over the k-subsets with sum s (Q += b*Q' + P'), for the certificate of
 `inequality.main_verdict`; the first form keeps its one product per sum.
@@ -155,11 +155,11 @@ def products_by_sum(ints: Sequence[int], ks: Sequence[int]) -> list[dict[int, in
     """For each k in ks, map each k-subset sum s to the total product of the
     k-subsets summing to s.
 
-    The `elementary_symmetric` row recurrence with every row keyed by subset
-    sum: rows[j][s] is the total of prod(S) over the j-subsets S of the
-    entries seen so far with sum(S) = s, so summing row k's values gives
-    e_k. Subsets that share a sum are merged, so the cost follows the number
-    of distinct sums, not C(n, k). One pass builds the rows up to max(ks)
+    The `symmetric_row` recurrence with every row keyed by subset sum:
+    rows[j][s] is the total of prod(S) over the j-subsets S of the entries
+    seen so far with sum(S) = s, so summing row k's values gives e_k.
+    Subsets that share a sum are merged, so the cost follows the number of
+    distinct sums, not C(n, k). One pass builds the rows up to max(ks)
     and serves every k in ks; after entry m only rows j >= min(ks) - (n - m)
     can still reach a requested row, and the others are dropped. The
     single-k case is ks = (k,).

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symineq.cli import main
 from symineq.exact import InputError, make_vector, parse_scalar
@@ -292,14 +292,12 @@ def test_one_vector_runs_two_passes_and_the_memo_lets_it_go(monkeypatch):
         # the first k: one pass pruned to it; a second k: one pass that
         # builds every row, so k = 3 and its identity run none
         assert built == [(1,), (1, 2, 3, 4)][:min(k, 2)]
-    with pytest.MonkeyPatch.context() as patch:
-        forbid(patch, symmetric_row, elementary_symmetric)
-        assert rhs_main(v, 2) == rhs_oracle(v, 2)
-        assert rhs_main(v, 4) == rhs_oracle(v, 4)  # row 4 came with that pass
+    assert rhs_main(v, 2) == rhs_oracle(v, 2)
+    assert rhs_main(v, 4) == rhs_oracle(v, 4)
     assert built == [(1,), (1, 2, 3, 4)]
     assert sys.getrefcount(v) == held + 1  # the memo's reference
-    # the next vector replaces v; a lone rhs_main takes e_k from the
-    # recurrence and builds no row, and the identity keeps the one it builds
+    # the next vector replaces v; a lone rhs_main reads the form's e row
+    # and builds no row, and the identity keeps the one it builds
     assert rhs_main(w, 2) == rhs_oracle(w, 2)
     assert sys.getrefcount(v) == held
     assert _integer_form(w).v is w and _integer_form(w).rows == {}
@@ -315,11 +313,10 @@ def test_one_vector_runs_two_passes_and_the_memo_lets_it_go(monkeypatch):
 ])
 def test_fuzz_runs_a_pass_pruned_to_the_first_k_then_one_for_every_row(
         flags, ks_at, monkeypatch, capsys):
-    # lhs_main reads each k first, so rhs_main takes e_k from the row it
-    # kept and never from the recurrence; a single k holds one pruned row
+    # a vector's first k gets a pass pruned to it, a second k one pass for
+    # every row, and rhs_main builds none; a single k holds one pruned row
     built = []
     monkeypatch.setattr("symineq.inequality.products_by_sum", counting(built))
-    forbid(monkeypatch, symmetric_row, elementary_symmetric)
     assert main(["fuzz", "--n", "3..6", "--trials", "12", "--seed", "5", *flags]) == 0
     rng, expected = random.Random(5), []
     for _ in range(12):
@@ -342,7 +339,6 @@ def test_check_prints_the_first_k_before_the_pass_for_every_row(monkeypatch, cap
         return count(ints, ks)
 
     monkeypatch.setattr("symineq.inequality.products_by_sum", counted)
-    forbid(monkeypatch, symmetric_row, elementary_symmetric)
     assert main(["check", "--values", "1,2/3,5,7", "--all-k"]) == 0
     assert built == [(1,), (1, 2, 3, 4)]
     assert printed == ["", "MainTheorem n=4 k=1 v=(1, 2/3, 5, 7): lhs=4 rhs=4 slack=0"
@@ -393,6 +389,30 @@ def test_one_vectors_requests_in_any_order_match_their_oracles_in_two_passes(v, 
     assert len(built) <= 2
 
 
+@settings(deadline=None)  # the oracle enumerates up to 2^8 subsets of 6-digit rationals
+@given(st.one_of(vectors, wide_vectors))
+@example(make_vector([Fraction(3, 7)]))
+def test_rhs_main_reads_no_kept_row(v):
+    # rhs_main reads e_k from the form's own e row: with every row kept by
+    # check_main and each one tampered, and no pass allowed, it still
+    # equals its oracle at every k
+    n = len(v)
+    for k in range(1, n + 1):
+        check_main(v, k)
+    rows = _integer_form(v).rows
+    kept = dict(rows)
+    assert sorted(kept) == list(range(1, n + 1))
+    for k, row in kept.items():
+        rows[k] = {s: p + 1 for s, p in row.items()}  # read, it would show
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            forbid(patch, products_by_sum)
+            for k in range(1, n + 1):
+                assert rhs_main(v, k) == rhs_oracle(v, k)
+    finally:
+        rows.update(kept)
+
+
 def test_a_list_is_never_kept_in_the_memo():
     # a list may change between two calls, so its form is made anew each time
     entries = [Fraction(1), Fraction(2), Fraction(3)]
@@ -431,9 +451,10 @@ def test_certificate_is_its_brute_force_group_total(v, data):
 def test_certificate_sums_to_the_exact_slack(v, data):
     # rhs - lhs = sum_s (B - s) * G(s)/s / (k^2 * B * L^(k-1))
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    _, ints, scale, total, _ = _integer_form(v)
-    weighted = sum(Fraction((total - s) * g, s) for s, g in _certificate(ints, k).items())
-    assert weighted / (k * k * total * scale ** (k - 1)) == check_main(v, k).slack
+    form = _integer_form(v)
+    total = form.total
+    weighted = sum(Fraction((total - s) * g, s) for s, g in _certificate(form.ints, k).items())
+    assert weighted / (k * k * total * form.scale ** (k - 1)) == check_main(v, k).slack
 
 
 @given(st.one_of(certificate_vectors, wide_vectors), st.data())
@@ -540,18 +561,19 @@ def test_pairwise_is_its_fraction_double_sum(v):
 @given(pairwise_vectors)
 def test_pairwise_needs_no_dynamic_program_and_no_ek(v):
     # the lemma cross-checks the main bound at k = 2, so it must not reach
-    # the kernels check_main uses, nor the row check_main kept for this very
-    # vector: it may share only the integer form (b, L)
+    # the kernels check_main uses, nor the row and the e_2 check_main read
+    # for this very vector: it may share only the integer form (b, L, B)
     check_main(v, 2)
-    rows = _integer_form(v).rows
-    kept = rows[2]
-    rows[2] = {s: p + 1 for s, p in kept.items()}  # read, it would show
+    form = _integer_form(v)
+    kept, ek = form.rows[2], form.e[2]
+    form.rows[2] = {s: p + 1 for s, p in kept.items()}  # read, it would show
+    form.e[2] = ek + 1
     try:
         with pytest.MonkeyPatch.context() as patch:
             forbid(patch, products_by_sum, symmetric_row, elementary_symmetric)
             assert check_pairwise_lemma(v) == pairwise_oracle(v)
     finally:
-        rows[2] = kept
+        form.rows[2], form.e[2] = kept, ek
 
 
 def test_pairwise_does_no_fraction_arithmetic_per_pair():
@@ -652,8 +674,9 @@ def test_identity_reduces_each_side_of_disagreeing_groupings(monkeypatch):
 
     v = make_vector([1, Fraction(2, 3), 5, 7])
     k = 2
-    _, ints, _, total, _ = _integer_form(v)
-    right_groups = identity_groups_oracle(ints, k)
+    form = _integer_form(v)
+    total = form.total
+    right_groups = identity_groups_oracle(form.ints, k)
     left_groups = dict(right_groups)
     first = min(left_groups)
     left_groups[first] += total - first
