@@ -106,7 +106,7 @@ def make_vector(values: Iterable[Union[Fraction, int]]) -> PositiveVector:
             raise TypeError(f"{type(value).__name__} at index {i}; "
                             "exact inputs must be Fraction or int")
         x = Fraction(value)
-        if x <= 0:
+        if x.numerator <= 0:  # the denominator is positive
             raise InputError(f"nonpositive entry {render_scalar(x)} at index {i}")
         entries.append(x)
     if not entries:

@@ -16,13 +16,15 @@ negative slack is raised as `Violation`, never returned in a report (an
 
 Every check works on the integer form of v: the denominators are cleared
 (b = v*L, L their lcm), the sums run on ints, and each side builds one
-Fraction at the end. The form also holds the row e_0..e_n of b, from the
-e_k recurrence (`symfun.symmetric_row`); its e_1 is B = sum(b). A memo of
-one entry keeps the form of the last vector asked for, keyed by the vector
-object, so the checks of one vector build it once. The main bound's left
-side is a subset-sum dynamic program (`symfun.products_by_sum`), not an
-enumeration; its brute-force oracle lives in the tests. Its rows are kept
-with the form, at most two passes per vector (`_IntegerForm.row`).
+Fraction at the end (`_sum_over_sums`: a grouping of up to 64 distinct
+sums is put over their lcm in C, a larger one is added as a balanced tree
+of per-term-reduced pairs). The form also holds the row e_0..e_n of b,
+from the e_k recurrence (`symfun.symmetric_row`); its e_1 is B = sum(b).
+A memo of one entry keeps the form of the last vector asked for, keyed by
+the vector object, so the checks of one vector build it once. The main
+bound's left side is a subset-sum dynamic program (`symfun.products_by_sum`),
+not an enumeration; its brute-force oracle lives in the tests. Its rows are
+kept with the form, at most two passes per vector (`_IntegerForm.row`).
 `lhs_main` reduces row k and `rhs_main` reads e_k(b) from the e row, so
 neither side depends on what was asked before it. These two are the only
 statement of the bound's sides, and the form the only caller of the
@@ -47,7 +49,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, repeat
+from operator import floordiv, mul
 from typing import NamedTuple, Sequence
 
 from symineq.exact import InputError, PositiveVector, render_scalar
@@ -119,12 +123,13 @@ def report_to_record(report: InequalityReport) -> dict:
 
 def _report(statement: Statement, v: PositiveVector, k: int,
             lhs: Fraction, rhs: Fraction) -> InequalityReport:
+    # a Fraction's denominator is positive, so its numerator carries the sign
     slack = rhs - lhs
-    if slack < 0:
+    if slack.numerator < 0:
         raise Violation(statement, v, k, lhs, rhs)
     return InequalityReport(
         n=len(v), k=k, statement=statement,
-        lhs=lhs, rhs=rhs, slack=slack, is_equality=slack == 0,
+        lhs=lhs, rhs=rhs, slack=slack, is_equality=slack.numerator == 0,
     )
 
 
@@ -192,14 +197,32 @@ def _integer_form(v: PositiveVector) -> _IntegerForm:
     return form
 
 
+# A row of at most this many sums is added over one common denominator.
+# The lcm of the sums grows with each one, so on a wide row that costs more
+# than the tree. On the reductions of the benchmark's sweep catalog and
+# integer fuzz (one run, x86_64, CPython 3.11) it took 0.54-0.85 of the
+# tree's time at 2-64 sums (1.3 at a single sum, a few microseconds in all),
+# 0.89-1.13 at 65-128 and 1.11-1.42 at 129-512.
+_COMMON_DENOMINATOR_MAX = 64
+
+
 def _sum_over_sums(by_sum: dict[int, int], scale: int) -> Fraction:
     """sum_s N(s)/s / scale, for by_sum mapping each subset sum s to N(s).
 
-    Each term is cancelled by one small gcd, then the terms are added as a
-    balanced tree of unreduced (numerator, denominator) pairs, so the
-    operands grow evenly and the only large gcd is the one in the Fraction
-    built at the end.
+    The method follows the number of sums. Up to `_COMMON_DENOMINATOR_MAX`
+    of them, D = lcm of the sums and the numerator sum_s N(s)*(D/s) are
+    built in C, with no Python step per term. A larger row cancels each
+    term by one small gcd, then adds the terms as a balanced tree of
+    unreduced (numerator, denominator) pairs, so the operands grow evenly.
+    Either way the only large gcd is the one in the Fraction built at the
+    end.
     """
+    if len(by_sum) <= _COMMON_DENOMINATOR_MAX:
+        # reduce, not lcm(*by_sum): building that argument tuple raised the
+        # peak RSS of 600 sweep passes by about 0.5 MB (x86_64, CPython 3.11)
+        den = reduce(math.lcm, by_sum)
+        num = sum(map(mul, by_sum.values(), map(floordiv, repeat(den), by_sum)))
+        return Fraction(num, den * scale)
     terms = []
     for s, p in by_sum.items():
         # the entries are multiples of L / q_i, so s and N(s) share the

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from symineq.cli import main
 from symineq.exact import InputError, make_vector, parse_scalar
 from symineq.inequality import (
+    _COMMON_DENOMINATOR_MAX,
     InequalityReport,
     Statement,
     Violation,
@@ -146,6 +147,28 @@ def test_sides_match_oracles(v, data):
 def test_lhs_matches_oracle_on_colliding_sums_and_wide_rationals(v):
     for k in range(1, len(v) + 1):
         assert lhs_main(v, k) == lhs_oracle(v, k)
+
+
+def sums_oracle(by_sum, scale):
+    return sum(Fraction(p, s) for s, p in by_sum.items()) / scale
+
+
+def six_digit_row(size):
+    # six-digit sums and numerators, as many as the row size asks for
+    return {10 ** 5 + 7 * i: 999_983 - 11 * i for i in range(size)}
+
+
+@settings(deadline=None)  # the oracle adds up to 200 Fractions of six-digit sums
+@given(st.dictionaries(st.integers(min_value=1, max_value=10 ** 6 - 1),
+                       st.integers(min_value=1, max_value=10 ** 18),
+                       min_size=1, max_size=200),
+       st.integers(min_value=1, max_value=10 ** 12))
+@example(six_digit_row(_COMMON_DENOMINATOR_MAX), 1)
+@example(six_digit_row(_COMMON_DENOMINATOR_MAX), 999_999)
+@example(six_digit_row(_COMMON_DENOMINATOR_MAX + 1), 999_999)
+@example({999_983: 123_457, 999_979: 654_321, 6: 1}, 720)
+def test_sum_over_sums_is_its_fraction_sum_on_both_sides_of_the_size_rule(by_sum, scale):
+    assert _sum_over_sums(by_sum, scale) == sums_oracle(by_sum, scale)
 
 
 def fuzz_oracle(n_range, k_policy, trials, distribution, seed):
