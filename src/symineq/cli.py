@@ -5,6 +5,13 @@ Subcommands: check (main bound), lemma (reciprocal or pairwise), identity
 trials through the exact checker), maximize (float ascent of the ratio with
 exact re-certification).
 
+The vector commands (check, lemma, identity) are one pipeline. Each vector,
+from --values or from one line of --file, goes through one parser just
+before it is checked, and each report is rendered once, as its
+`report_to_record`. A line that fails to parse or fails its check ends the
+run after the reports of the lines before it; JSON mode prints nothing on
+any error.
+
 Exit codes: 0 all statements held, 1 usage or input error, 2 an exact
 violation was witnessed. Every exit 1 is one `symineq: error:` line on
 stderr, whether argparse refused the command line or the library raised
@@ -24,12 +31,10 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from symineq.exact import InputError, PositiveVector, make_vector, parse_scalar, render_scalar
 from symineq.inequality import (
-    InequalityReport,
     Statement,
     Violation,
     check_main,
@@ -89,9 +94,23 @@ def _located(where: str, parse: Callable, arg):
         raise InputError(f"{where}: {exc}") from exc
 
 
-def _read_vector_file(path: str) -> list[PositiveVector]:
-    """One vector per line; entries split on commas or whitespace; blank
-    lines and text after '#' are ignored."""
+def _parse_vector(where: str, text: str) -> PositiveVector:
+    """One vector from text whose entries are split on commas or whitespace.
+    A scalar error is located at `where:column`, a vector error at `where`."""
+    entries = [_located(f"{where}:{match.start() + 1}", parse_scalar, match.group())
+               for match in _TOKEN_RE.finditer(text)]
+    return _located(where, make_vector, entries)
+
+
+def _input_vectors(args) -> Iterator[PositiveVector]:
+    """Yield each input vector just before it is checked: --values, or one
+    vector per line of --file, where blank lines and text after '#' are
+    ignored. The file is read and decoded whole first, so an unreadable,
+    non-UTF-8 or vector-less file is refused before any output."""
+    if args.values is not None:
+        yield _parse_vector("--values", args.values)
+        return
+    path = args.file
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -99,23 +118,12 @@ def _read_vector_file(path: str) -> list[PositiveVector]:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
-    vectors = []
-    for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0]
-        entries = [_located(f"{path}:{lineno}:{match.start() + 1}", parse_scalar, match.group())
-                   for match in _TOKEN_RE.finditer(body)]
-        if entries:
-            vectors.append(_located(f"{path}:{lineno}", make_vector, entries))
-    if not vectors:
+    bodies = [(lineno, body) for lineno, line in enumerate(lines, start=1)
+              if _TOKEN_RE.search(body := line.split("#", 1)[0])]
+    if not bodies:
         raise InputError(f"{path}: no vectors found")
-    return vectors
-
-
-def _input_vectors(args) -> list[PositiveVector]:
-    if args.values is not None:
-        return [_located("--values", lambda tokens: make_vector(map(parse_scalar, tokens)),
-                         _TOKEN_RE.findall(args.values))]
-    return _read_vector_file(args.file)
+    for lineno, body in bodies:
+        yield _parse_vector(f"{path}:{lineno}", body)
 
 
 def _enforce_cap(n: int, max_n: int) -> None:
@@ -126,42 +134,47 @@ def _enforce_cap(n: int, max_n: int) -> None:
 
 # ---- rendering ----
 
-def _format_vector(v: Iterable[Fraction]) -> str:
-    return "(" + ", ".join(render_scalar(a) for a in v) + ")"
-
-
-def _report_line(v: PositiveVector, report: InequalityReport) -> str:
-    head = f"{report.statement.value} n={report.n} k={report.k} v={_format_vector(v)}"
-    if report.statement is Statement.PROOF_IDENTITY:
+def _report_line(v: PositiveVector, record: dict) -> str:
+    """The text line of a report, from its `report_to_record` strings."""
+    statement = record["statement"]
+    head = (f"{statement} n={record['n']} k={record['k']}"
+            f" v=({', '.join(map(render_scalar, v))})")
+    if statement == Statement.PROOF_IDENTITY.value:
         # the identity is evaluated on the unit-sum rescaling of v
         head += f" scale={render_scalar(v.total())}"
-    verdict = "equality" if report.is_equality else "strict"
-    line = (f"{head}: lhs={render_scalar(report.lhs)}"
-            f" rhs={render_scalar(report.rhs)}"
-            f" slack={render_scalar(report.slack)} {verdict}")
-    if report.statement is Statement.MAIN_THEOREM and report.k in (1, report.n):
+    verdict = "equality" if record["is_equality"] else "strict"
+    line = (f"{head}: lhs={record['lhs']} rhs={record['rhs']}"
+            f" slack={record['slack']} {verdict}")
+    if statement == Statement.MAIN_THEOREM.value and record["k"] in (1, record["n"]):
         line += " [identity (always equality)]"
     return line
+
+
+def _print_json(value) -> None:
+    import json  # here, so a text run does not import it
+    print(json.dumps(value, indent=2))
 
 
 # ---- subcommand runners ----
 
 def _run_vectors(args) -> int:
     """Report on each input vector; args.reports(args, v) yields its
-    reports. Text lines are printed as they are made, so a violation or a
-    bad vector on line N of a file keeps the lines before it; JSON is one
-    array, printed at the end."""
+    reports, and each report is rendered once, as its `report_to_record`.
+    A vector is parsed just before it is checked, so a line of a file that
+    fails to parse or fails its check ends the run after the reports of the
+    lines before it. Text lines are printed as they are made; JSON is one
+    array, printed at the end, so JSON mode prints nothing on any error."""
     records = []
     for v in _input_vectors(args):
         _enforce_cap(len(v), args.max_n)
         for report in args.reports(args, v):
+            record = report_to_record(report)
             if args.format == "json":
-                records.append(report_to_record(report))
+                records.append(record)
             else:
-                print(_report_line(v, report))
+                print(_report_line(v, record))
     if args.format == "json":
-        import json  # here, so a text run does not import it
-        print(json.dumps(records, indent=2))
+        _print_json(records)
     return 0
 
 
@@ -196,30 +209,29 @@ def _run_fuzz(args) -> int:
     distribution = Distribution(kind=args.distribution, bound=args.max_value,
                                 epsilon=_located("--epsilon", parse_scalar, args.epsilon))
     report = fuzz(n_range, args.k_policy, args.trials, distribution, args.seed)
-    n_text = "{}..{}".format(*n_range)
+    record = {
+        "n_range": "{}..{}".format(*n_range),
+        "k_policy": str(args.k_policy),
+        "trials": args.trials,
+        "checks": report.checks,
+        "violations": report.violations,
+        "min_slack": render_scalar(report.min_slack),
+        "witness": [render_scalar(a) for a in report.witness],
+        "witness_k": report.witness_k,
+        "seed": args.seed,
+        "distribution": distribution.describe(),
+    }
     if args.format == "json":
-        import json
-        print(json.dumps({
-            "n_range": n_text,
-            "k_policy": str(args.k_policy),
-            "trials": args.trials,
-            "checks": report.checks,
-            "violations": report.violations,
-            "min_slack": render_scalar(report.min_slack),
-            "witness": [render_scalar(a) for a in report.witness],
-            "witness_k": report.witness_k,
-            "seed": args.seed,
-            "distribution": distribution.describe(),
-        }, indent=2))
+        _print_json(record)
     else:
-        print(f"fuzz: n={n_text} k={args.k_policy} trials={args.trials}"
-              f" distribution={distribution.describe()} seed={args.seed}\n"
+        print(f"fuzz: n={record['n_range']} k={record['k_policy']} trials={args.trials}"
+              f" distribution={record['distribution']} seed={args.seed}\n"
               f"trials: {args.trials}\n"
               f"checks: {report.checks}\n"
               f"violations: {report.violations}\n"
-              f"min slack: {render_scalar(report.min_slack)}"
+              f"min slack: {record['min_slack']}"
               f" (n={len(report.witness)} k={report.witness_k}"
-              f" v={_format_vector(report.witness)})")
+              f" v=({', '.join(record['witness'])}))")
     return 0 if report.violations == 0 else 2
 
 
@@ -229,8 +241,7 @@ def _run_maximize(args) -> int:
                             convergence_tolerance=args.tolerance,
                             max_iterations=args.max_iter)
     if args.format == "json":
-        import json
-        print(json.dumps({
+        _print_json({
             "n": args.n,
             "k": args.k,
             "seed": args.seed,
@@ -242,7 +253,7 @@ def _run_maximize(args) -> int:
             "ratio": result.ratio,
             "exact_ratio_le_1": True,
             "argmax": list(result.argmax),
-        }, indent=2))
+        })
     else:
         print(f"maximize: n={args.n} k={args.k} seed={args.seed}"
               f" step={args.step!r} tol={args.tolerance!r} max_iter={args.max_iter}\n"
@@ -306,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--trials", type=int, default=100,
                     help="number of random vectors (default: 100)")
     fz.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    fz.add_argument("--distribution", choices=("integers", "rationals", "near-uniform"),
-                    default="integers", help="input distribution (default: integers)")
+    fz.add_argument("--distribution", default="integers",
+                    help="input distribution: integers, rationals or near-uniform"
+                         " (default: integers)")
     fz.add_argument("--max-value", type=int, default=100, metavar="M",
                     help="numerator/denominator bound (default: 100)")
     fz.add_argument("--epsilon", default="1/1000", metavar="EPS",

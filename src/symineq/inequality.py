@@ -159,18 +159,13 @@ class _IntegerForm(NamedTuple):
         pruned to its k, so a single-k check holds one row, and a later
         request for a row the form does not hold runs one pass over every
         k, after which the form keeps every row (those it held stay)."""
-        row = self.rows.get(k)
-        if row is None:
-            if self.rows:  # a second k: one pass builds every row
-                n = len(self.ints)
-                check_k(k, n)
-                for j, built in enumerate(products_by_sum(self.ints, range(1, n + 1)), start=1):
-                    self.rows.setdefault(j, built)
-                row = self.rows[k]
-            else:
-                [row] = products_by_sum(self.ints, (k,))
-                self.rows[k] = row
-        return row
+        if k not in self.rows:
+            n = len(self.ints)
+            check_k(k, n)
+            ks = range(1, n + 1) if self.rows else (k,)
+            for j, built in zip(ks, products_by_sum(self.ints, ks)):
+                self.rows.setdefault(j, built)
+        return self.rows[k]
 
 
 # A memo of one entry: the integer form of the last vector asked for, so the

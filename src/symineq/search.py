@@ -71,7 +71,8 @@ class Distribution(namedtuple("Distribution", "kind bound epsilon")):
 
     def __new__(cls, kind: str, bound: int = 100, epsilon: Fraction = Fraction(1, 1000)):
         if kind not in ("integers", "rationals", "near-uniform"):
-            raise InputError(f"unknown distribution {kind!r}")
+            raise InputError(f"unknown distribution {kind!r}; expected integers, rationals"
+                             " or near-uniform")
         if bound < 1:
             raise InputError("bound must be >= 1")
         if not 0 < epsilon < 1:

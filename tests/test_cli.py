@@ -451,7 +451,7 @@ def test_interrupt_ends_in_one_error_line(tmp_path):
                              "--all-k"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
-    # the first output byte comes after the file is parsed, inside main
+    # the first output byte comes after the first vector is checked, inside main
     assert proc.stdout.read(1)
     proc.send_signal(signal.SIGINT)
     _, err = proc.communicate(timeout=60)
@@ -591,6 +591,42 @@ def test_file_errors_report_line_and_column(tmp_path):
     result = run_cli("check", "--file", str(corpus), "--k", "1")
     assert result.returncode == 1
     assert f"{corpus}:2:3:" in result.stderr
+
+
+def test_file_lines_are_parsed_as_they_are_checked(tmp_path):
+    # a malformed line ends the run after the reports of the lines before
+    # it, as a refused check does; JSON mode prints nothing on any error
+    corpus = tmp_path / "third_bad.txt"
+    corpus.write_text("1 2 3\n# a note\n4,5,6\n7 2x 1\n8 9\n")
+    text = run_cli("check", "--file", str(corpus), "--k", "2")
+    assert text.returncode == 1
+    assert text.stdout == ("MainTheorem n=3 k=2 v=(1, 2, 3): lhs=157/60 rhs=11/4"
+                           " slack=2/15 strict\n"
+                           "MainTheorem n=3 k=2 v=(4, 5, 6): lhs=3638/495 rhs=37/5"
+                           " slack=5/99 strict\n")
+    assert text.stderr == f"symineq: error: {corpus}:4:3: malformed scalar '2x'\n"
+    as_json = run_cli("check", "--file", str(corpus), "--k", "2", "--format", "json")
+    assert (as_json.returncode, as_json.stdout, as_json.stderr) == (1, "", text.stderr)
+    # a file is read and decoded whole, and must hold a vector, before any output
+    comments = tmp_path / "comments.txt"
+    comments.write_text("# only a note\n\n , \n")
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"1 2 3\n4 5 \xff\n")
+    for path, message in ((comments, "no vectors found"), (not_utf8, "not UTF-8 text")):
+        result = run_cli("lemma", "--which", "pairwise", "--file", str(path))
+        assert (result.returncode, result.stdout) == (1, ""), path
+        assert result.stderr.startswith(f"symineq: error: {path}: {message}"), result.stderr
+        assert result.stderr.count("\n") == 1
+
+
+def test_unknown_distribution_names_the_three_kinds():
+    # the kind is checked once, by Distribution, not also by argparse
+    result = run_cli("fuzz", "--distribution", "bogus")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("symineq: error:")
+    assert result.stderr.count("\n") == 1
+    for kind in ("integers", "rationals", "near-uniform"):
+        assert kind in result.stderr, kind
 
 
 def test_n_cap_blocks_and_override_unblocks():

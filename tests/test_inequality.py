@@ -436,6 +436,22 @@ def test_rhs_main_reads_no_kept_row(v):
         rows.update(kept)
 
 
+@settings(deadline=None)  # the oracle enumerates up to 2^8 subsets of 6-digit integers
+@given(st.one_of(vectors, wide_vectors))
+def test_the_forms_two_e_kernels_agree(v):
+    # symmetric_row builds the form's e row and products_by_sum its rows by
+    # subset sum: once check_main has read every k, each row's values add
+    # up to its e_k, and the e row is the brute-force one
+    n = len(v)
+    for k in range(1, n + 1):
+        check_main(v, k)
+    form = _integer_form(v)
+    assert sorted(form.rows) == list(range(1, n + 1))
+    for j in range(1, n + 1):
+        assert form.e[j] == sum(form.rows[j].values()), j
+    assert form.e == [sum(map(math.prod, combinations(form.ints, j))) for j in range(n + 1)]
+
+
 def test_a_list_is_never_kept_in_the_memo():
     # a list may change between two calls, so its form is made anew each time
     entries = [Fraction(1), Fraction(2), Fraction(3)]
