@@ -10,9 +10,12 @@ merged into the output file under "<workload>/trace<T>":
         --workload fuzz --seeds 11-20 --out BENCH_3.json
 
 A pair is won when the change's value is better in the direction
-BENCHMARK.json gives the metric; ties count for neither side. The summary
-also totals each side's failed and attempted operations ("runs"), and the
-script exits 1, after writing the file, if any run was not correct.
+BENCHMARK.json gives the metric; ties count for neither side. Each metric's
+`claim_met` says whether a gain on it could be claimed: the change won at
+least nine tenths of the pairs, and its median is better than the parent's
+by more than the parent's interquartile range. The summary also totals
+each side's failed and attempted operations ("runs"), and the script exits
+1, after writing the file, if any run was not correct.
 
 Each side runs with its own fresh bytecode cache (PYTHONPYCACHEPREFIX, a new
 temporary directory per side per invocation, inherited by the CLI processes
@@ -76,8 +79,12 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         change = [p["change"]["metrics"][metric] for p in pairs]
         sign = 1 if better.get(metric, "lower") == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        out[metric] = {"parent": quartiles(parent), "change": quartiles(change),
-                       "change_wins": wins, "pairs": len(pairs)}
+        p_q, c_q = quartiles(parent), quartiles(change)
+        gain = sign * (p_q["median"] - c_q["median"])
+        out[metric] = {"parent": p_q, "change": c_q, "change_wins": wins,
+                       "pairs": len(pairs),
+                       "claim_met": 10 * wins >= 9 * len(pairs)
+                       and gain > p_q["q3"] - p_q["q1"]}
     out["runs"] = {side: {key: sum(p[side][key] for p in pairs)
                           for key in ("failed", "attempted")}
                    for side in ("parent", "change")}

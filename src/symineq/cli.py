@@ -2,8 +2,8 @@
 
 Subcommands: check (main bound), lemma (reciprocal or pairwise), identity
 (the rearrangement identity behind the induction step), fuzz (seeded random
-trials through the exact checker), maximize (float ascent of the ratio with
-exact re-certification).
+trials, with every violation and the minimum slack exact), maximize (float
+ascent of the ratio with exact re-certification).
 
 The vector commands (check, lemma, identity) are one pipeline. Each vector,
 from --values or from one line of --file, goes through one parser just

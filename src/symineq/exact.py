@@ -3,8 +3,10 @@
 Every quantity on a verification path is an arbitrary-precision rational
 (`fractions.Fraction`), which keeps canonical form -- positive denominator,
 gcd(|numerator|, denominator) = 1 -- after every arithmetic operation.
-Floats are confined to the float search (`symineq.search`, and the float
-terms `symineq.symfun` computes for it) and never reach a verdict.
+Floats appear only in the float search (`symineq.search`, and the float
+terms `symineq.symfun` computes for it) and in fuzz's slack floor
+(`inequality.main_slack_floor`). An approximation decides nothing without a
+proved error bound; every violation and the reported minimum are exact.
 
 Scalar text grammar (bit-exact):
 
@@ -20,8 +22,9 @@ for denominator q > 1, else "p".
 
 Integers convert to and from text only up to the interpreter's digit limit
 (`sys.get_int_max_str_digits()`, 4300 by default in CPython). Past it a
-literal is refused by `parse_scalar` and a value by `render_scalar`; the
-limit itself is left as it is.
+value is refused by `render_scalar`, and `parse_scalar` refuses a literal
+with a digit run past it or a value that could not be rendered, so every
+parsed value can be printed; the limit itself is left as it is.
 
 A `PositiveVector` is the tuple of its entries, ints and Fractions that
 `make_vector` checked to be positive. Every refusal of an argument in the
@@ -55,13 +58,22 @@ def parse_scalar(text: str) -> Fraction:
     if _SCALAR_RE.match(text) is None:
         raise InputError(f"malformed scalar {text!r}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError as exc:
         raise InputError(f"zero denominator in {text!r}") from exc
     except ValueError as exc:  # a digit run past the interpreter's int/str limit
         raise InputError(
             f"scalar literal of {len(text)} characters has a run of more than "
             f"{sys.get_int_max_str_digits()} digits") from exc
+    # A decimal's two runs can join past the limit in its numerator; a value
+    # has no more digits than its literal has characters, so only a literal
+    # longer than the limit needs the check.
+    if len(text) > sys.get_int_max_str_digits() > 0:
+        try:
+            render_scalar(value)
+        except InputError as exc:
+            raise InputError(f"scalar literal of {len(text)} characters: {exc}") from exc
+    return value
 
 
 def render_scalar(x: Fraction) -> str:

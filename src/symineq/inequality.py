@@ -10,8 +10,10 @@ vectors for 1 < k < n; a report's `is_equality` flag is that locus, read
 off the exact slack. Supporting checks: the reciprocal bound
 (sum 1/a_i >= sum of reciprocals of the (n-1)-wise averages), the pairwise
 product bound (the k = 2 case written as a direct double sum), and the
-rearrangement identity behind the proof. All arithmetic is exact; a
-negative slack is raised as `Violation`, never returned in a report (an
+rearrangement identity behind the proof. Every verdict is exact: the one
+float computation, fuzz's slack floor below, carries a proved error bound
+and only ever lets a check it proves positive go unreduced. A negative
+slack is raised as `Violation`, never returned in a report (an
 `InequalityReport`, a named tuple).
 
 Every check works on the integer form of v: the denominators are cleared
@@ -28,8 +30,10 @@ kept with the form, at most two passes per vector (`_IntegerForm.row`).
 `lhs_main` reduces row k and `rhs_main` reads e_k(b) from the e row, so
 neither side depends on what was asked before it. These two are the only
 statement of the bound's sides, and the form the only caller of the
-dynamic program. The k-subset side of the proof identity is the form's
-row k, while the other side keeps its own enumeration of the
+dynamic program. `main_slack_floor` reads the same row and e row in
+floats, with a proved error bound, so that fuzz can skip the reduction of
+a slack it shows positive. The k-subset side of the proof identity is the
+form's row k, while the other side keeps its own enumeration of the
 (k+1)-subsets, so the identity cross-checks the one against the other:
 the two groupings of numerators by subset sum are compared sum by sum, and
 reduced once when they agree. `main_verdict` reads only the sign of the
@@ -47,12 +51,13 @@ raises `InputError`.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, repeat
-from operator import floordiv, mul
-from typing import NamedTuple, Sequence
+from operator import floordiv, mul, truediv
+from typing import NamedTuple, Optional, Sequence
 
 from symineq.exact import InputError, PositiveVector, render_scalar
 from symineq.symfun import (
@@ -255,6 +260,51 @@ def rhs_main(v: PositiveVector, k: int) -> Fraction:
     check_k(k, n)
     form = _integer_form(v)
     return Fraction(n * form.e[k], k * form.scale ** (k - 1) * form.total)
+
+
+# 1/u for the unit roundoff u = 2**-53 of a double
+_INVERSE_ROUNDOFF = 2 ** sys.float_info.mant_dig
+
+
+def main_slack_floor(v: PositiveVector, k: int) -> Optional[float]:
+    """A positive float proved to lie strictly below the main slack
+    rhs_main(v, k) - lhs_main(v, k), or None where the bound below cannot
+    show the slack positive. It reads the form's row k and e row and
+    reduces nothing.
+
+    On the integer form, L^(k-1) * slack = Y - X with Y = n*e_k(b)/(k*B)
+    and X = sum_s x_s, x_s = P(s)/s over the m sums s of row k. In floats,
+    R = fl(Y) and each t_s = fl(x_s) are int / int divisions, which CPython
+    rounds correctly, and S = fsum(t_s) is the correctly rounded sum or,
+    where the C library double-rounds, one ulp off it. Let u = 2**-53 and
+    tiny = 2**-1022, the least normal float. A correctly rounded t_s is off
+    by at most u*t_s when normal and tiny*u below that, so
+    X <= (1+u)*sum t_s + m*tiny*u. With R >= tiny and S >= m*tiny (so S is
+    normal): Y >= R/(1+u) >= R*(1-u), sum t_s <= S + ulp(S) <= S*(1+2u) and
+    m*tiny*u <= S*u, so X <= S*((1+u)*(1+2u) + u) <= S*(1+5u). Hence
+
+        slack >= (R*(1-u) - S*(1+5u)) / L^(k-1),
+
+    a rational evaluated exactly from the integer ratios of R and S and
+    rounded once, by one int / int division. The rounded quotient is within
+    half a float step of that bound, so the float one step towards -inf is
+    strictly below it. None also when a division or the sum overflows, or
+    R or S is below its least value above.
+    """
+    form = _integer_form(v)
+    row = form.row(k)
+    try:
+        lhs = math.fsum(map(truediv, row.values(), row))
+        rhs = len(form.ints) * form.e[k] / (k * form.total)
+        if lhs < len(row) * sys.float_info.min or rhs < sys.float_info.min:
+            return None
+        (rn, rd), (ln, ld) = rhs.as_integer_ratio(), lhs.as_integer_ratio()
+        num = rn * ld * (_INVERSE_ROUNDOFF - 1) - ln * rd * (_INVERSE_ROUNDOFF + 5)
+        den = rd * ld * _INVERSE_ROUNDOFF * form.scale ** (k - 1)
+        floor = math.nextafter(num / den, -math.inf)
+    except OverflowError:
+        return None
+    return floor if floor > 0 else None
 
 
 def check_main(v: PositiveVector, k: int) -> InequalityReport:

@@ -1,13 +1,16 @@
 """Float-side exploration of the main bound.
 
-Two harnesses live here: seeded randomized fuzzing, where every candidate is
-evaluated through the exact checker (floats never decide a verdict), and
+Two harnesses live here: seeded randomized fuzzing of the main bound, and
 ratio maximization over the unit simplex, which demonstrates tightness by
 ascending the (float) ratio of the two sides toward the uniform point and
-then re-certifying the final iterate exactly. A fuzz trial checks each of
-its k's through `inequality.lhs_main` and `rhs_main`, which share the
-vector's integer form: one e row and at most two subset-sum dynamic
-program passes per vector.
+then re-certifying the final iterate exactly. An approximation decides
+nothing without a proved error bound; every violation and the reported
+minimum are exact. A fuzz trial reads each of its k's from the vector's
+integer form (one e row and at most two subset-sum dynamic program passes
+per vector): a check whose float floor (`inequality.main_slack_floor`)
+proves its slack positive and above the minimum so far is counted and
+not reduced, and every other check is reduced exactly by
+`inequality.lhs_main` and `rhs_main`.
 
 This module runs the float search; the float kernels it calls are
 `symineq.symfun`'s. Its float sums are left folds (`left_sum`, in C by
@@ -42,7 +45,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
-from symineq.inequality import lhs_main, main_verdict, rhs_main
+from symineq.inequality import lhs_main, main_slack_floor, main_verdict, rhs_main
 from symineq.symfun import moved_terms, subset_terms, symmetric_row
 
 # Coordinates never drop below this during projection: the bound's domain is
@@ -114,17 +117,21 @@ class FuzzReport(NamedTuple):
 
 def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
          distribution: Distribution, seed: int) -> FuzzReport:
-    """Run seeded random trials through the exact main-bound checker.
+    """Run seeded random trials of the main bound, every verdict exact.
 
     Each trial draws n uniformly from the sub-range of n_range that admits
-    the k policy, samples one vector, and checks every selected k by
-    rhs_main - lhs_main: the vector's integer form runs a pass pruned to its
-    first k and, for a second k, one pass for every row. The minimum slack
-    and its witness are tracked with a deterministic tie-break (slack, then
-    witness entries lexicographically, then k), so identical seeds reproduce
-    the report bit for bit. A negative slack counts as a violation and the
-    run goes on, so a violation surfaces as a negative min_slack with its
-    exact witness attached.
+    the k policy, samples one vector, and checks every selected k: the
+    vector's integer form runs a pass pruned to its first k and, for a
+    second k, one pass for every row. The first check of the run, and each
+    check whose `main_slack_floor` is None or not above the minimum slack
+    so far, is reduced to rhs_main - lhs_main. Any other check has a slack
+    proved positive and above that minimum, so it can neither be a
+    violation nor replace the minimum, and it is only counted. The minimum
+    slack and its witness are tracked with a deterministic tie-break
+    (slack, then witness entries lexicographically, then k), so identical
+    seeds reproduce the report bit for bit. A negative slack counts as a
+    violation and the run goes on, so a violation surfaces as a negative
+    min_slack with its exact witness attached.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:
@@ -155,6 +162,12 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
         v = distribution.sample(rng, n)
         for k in ks_at(n):
             checks += 1
+            if best is not None:
+                floor = main_slack_floor(v, k)
+                # a slack proved positive and above the minimum is neither a
+                # violation nor a new minimum, so it is never reduced
+                if floor is not None and floor > best[0]:
+                    continue
             slack = rhs_main(v, k) - lhs_main(v, k)
             if slack < 0:
                 violations += 1

@@ -99,11 +99,16 @@ def test_benchmark_smoke_and_self_test_pass():
         assert "FAIL" not in result.stdout
 
 
-def test_bench_pairs_refuses_a_malformed_seed_range(monkeypatch, capsys, tmp_path):
-    # a bad range is a usage error (exit 2) before any run, not a traceback
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_refuses_a_malformed_seed_range(monkeypatch, capsys, tmp_path):
+    # a bad range is a usage error (exit 2) before any run, not a traceback
+    bench_pairs = load_bench_pairs()
     assert bench_pairs.seed_range("11-20") == range(11, 21)
     assert bench_pairs.seed_range("7") == range(7, 8)
     for seeds in ("10-5", "1..3", "", "5-", "a-b"):
@@ -115,6 +120,25 @@ def test_bench_pairs_refuses_a_malformed_seed_range(monkeypatch, capsys, tmp_pat
         assert exit_info.value.code == 2, seeds
         assert "error: argument --seeds: " in capsys.readouterr().err, seeds
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("change, claim_met", [
+    ([0.85] * 10, True),                   # won 10/10 by more than the IQR
+    ([0.85] * 9 + [1.3], True),            # won 9/10
+    ([0.85] * 8 + [1.3] * 2, False),       # won 8/10
+    ([0.99] * 10, False),                  # won 10/10, within the IQR
+])
+def test_bench_pairs_states_whether_a_claim_is_met(change, claim_met):
+    # the parent's runs spread over 0.95..1.05, an interquartile range of 0.1
+    parent = [0.95, 1.05] * 5
+    pairs = [{side: {"metrics": {"wall_s": wall, "checks_per_s": 1 / wall},
+                     "failed": 0, "attempted": 1}
+              for side, wall in (("parent", p), ("change", c))}
+             for p, c in zip(parent, change)]
+    summary = load_bench_pairs().summarize(
+        pairs, {"wall_s": "lower", "checks_per_s": "higher"})
+    assert summary["wall_s"]["claim_met"] is claim_met
+    assert summary["checks_per_s"]["claim_met"] is claim_met
 
 
 def readme_examples():
@@ -416,6 +440,20 @@ def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
         assert "characters left out)\n" in result.stderr
 
 
+def test_a_value_past_the_render_limit_is_refused_in_both_formats():
+    # JSON does not echo the vector, so it printed a report where text
+    # output refused to render the entry; the parser now refuses it
+    nines = "9" * 4000
+    results = [run_cli("check", "--values", f"{nines}.{nines},3", "--k", "1", "--format", fmt)
+               for fmt in ("text", "json")]
+    for result in results:
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == results[0].stderr
+    assert results[0].stderr.startswith(
+        "symineq: error: --values:1: scalar literal of 8001 characters: exact value of about")
+    assert results[0].stderr.count("\n") == 1
+
+
 def test_closed_stdout_ends_in_one_error_line(tmp_path):
     many = tmp_path / "many.txt"
     many.write_text("1 2 3\n" * 20000)
@@ -704,9 +742,11 @@ def test_all_k_violation_keeps_the_lines_of_earlier_k(monkeypatch, capsys):
 
 
 def test_fuzz_with_violations_exits_2(monkeypatch, capsys):
-    # deliberately inverted sides standing in for a falsified bound
+    # deliberately inverted sides standing in for a falsified bound, and no
+    # floor, which would clear the checks its true sides prove positive
     monkeypatch.setattr("symineq.search.lhs_main", lambda v, k: Fraction(3))
     monkeypatch.setattr("symineq.search.rhs_main", lambda v, k: Fraction(2))
+    monkeypatch.setattr("symineq.search.main_slack_floor", lambda v, k: None)
     code = main(["fuzz", "--n", "3..3", "--trials", "5", "--seed", "0"])
     captured = capsys.readouterr()
     assert code == 2

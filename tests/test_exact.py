@@ -63,6 +63,15 @@ def test_parse_refuses_digit_runs_past_the_int_str_limit(text):
         parse_scalar(text)
 
 
+def test_parse_refuses_a_decimal_whose_value_is_past_the_render_limit():
+    # each run is within the limit, but the numerator has 8,000 digits
+    with pytest.raises(InputError, match="scalar literal of 8001 characters: exact value "
+                                         "of about 8001 digits is past the 4300-digit"):
+        parse_scalar("9" * 4000 + "." + "9" * 4000)
+    # a literal past the limit whose value renders is admitted
+    assert parse_scalar("0" * 3000 + "." + "0" * 1999 + "5") == Fraction(1, 2 * 10 ** 1999)
+
+
 # ---- rendering ----
 
 def test_render_canonical_forms():

@@ -24,6 +24,7 @@ from symineq.inequality import (
     check_proof_identity,
     check_reciprocal_lemma,
     lhs_main,
+    main_slack_floor,
     main_verdict,
     proof_identity,
     report_to_record,
@@ -195,12 +196,14 @@ def fuzz_oracle(n_range, k_policy, trials, distribution, seed):
 distributions = st.one_of(
     st.builds(Distribution, st.sampled_from(["integers", "rationals"]),
               st.integers(min_value=1, max_value=100)),
+    # wide rationals: six-digit p and q
+    st.builds(Distribution, st.just("rationals"), st.just(10 ** 6)),
     st.builds(Distribution, st.just("near-uniform"),
               epsilon=st.integers(min_value=2, max_value=10 ** 6).map(lambda q: Fraction(1, q))))
 
 
-@settings(deadline=None)  # the oracle enumerates up to 6 * 127 subsets
-@given(distributions, st.integers(min_value=3, max_value=7), st.data())
+@settings(deadline=None)  # the oracle enumerates up to 6 * 1023 subsets
+@given(distributions, st.integers(min_value=3, max_value=10), st.data())
 def test_fuzz_report_equals_its_brute_force_oracle(distribution, hi, data):
     lo = data.draw(st.integers(min_value=1, max_value=hi))
     k_policy = data.draw(st.one_of(st.sampled_from(["interior", "all"]),
@@ -209,6 +212,63 @@ def test_fuzz_report_equals_its_brute_force_oracle(distribution, hi, data):
     seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
     args = (lo, hi), k_policy, trials, distribution, seed
     assert fuzz(*args) == fuzz_oracle(*args)
+
+
+@settings(deadline=None)  # the oracle enumerates up to 255 subsets of wide entries
+@given(st.one_of(vectors, wide_vectors, near_uniform_vectors), st.data())
+def test_main_slack_floor_is_positive_and_below_the_exact_slack(v, data):
+    k = data.draw(st.integers(min_value=1, max_value=len(v)))
+    floor = main_slack_floor(v, k)
+    assert floor is None or 0 < floor < rhs_oracle(v, k) - lhs_oracle(v, k)
+
+
+def counting_lhs_main(monkeypatch):
+    # the (v, k) of every check fuzz reduces exactly
+    reduced = []
+
+    def counted(v, k):
+        reduced.append((v, k))
+        return lhs_main(v, k)
+    monkeypatch.setattr("symineq.search.lhs_main", counted)
+    return reduced
+
+
+def test_fuzz_reduces_every_slack_below_float_resolution(monkeypatch):
+    # at eps = 10^-40 the interior slacks are about 10^-80 of the sides
+    # (c(n, k) * eps^2), far below a float's resolution, so no floor is
+    # proved positive and every check is reduced exactly
+    reduced = counting_lhs_main(monkeypatch)
+    args = ((3, 9), "interior", 30,
+            Distribution("near-uniform", epsilon=Fraction(1, 10 ** 40)), 4)
+    report = fuzz(*args)
+    assert len(reduced) == report.checks
+    assert report == fuzz_oracle(*args)
+    assert 0 < report.min_slack < Fraction(1, 10 ** 70)
+
+
+@pytest.mark.parametrize("kind", ["integers", "rationals"])
+def test_fuzz_past_the_float_range_reduces_every_check(kind, monkeypatch):
+    # entries up to 10^400 (fuzz --max-value 10**400): a row term P(s)/s
+    # overflows a float, so no floor is found and every check is reduced
+    # exactly, with the report of the oracle
+    reduced = counting_lhs_main(monkeypatch)
+    args = (3, 6), "interior", 4, Distribution(kind, bound=10 ** 400), 8
+    report = fuzz(*args)
+    for v, k in reduced:
+        with pytest.raises(OverflowError):
+            [p / s for s, p in _integer_form(v).row(k).items()]
+        assert main_slack_floor(v, k) is None
+    assert len(reduced) == report.checks
+    assert report == fuzz_oracle(*args)
+
+
+def test_fuzz_on_rationals_reduces_few_checks(monkeypatch):
+    # the slacks of ordinary rationals are far above float resolution, so
+    # after the first check almost every floor clears its check
+    reduced = counting_lhs_main(monkeypatch)
+    report = fuzz((12, 16), "interior", 20, Distribution("rationals"), 0)
+    assert report.checks == 245
+    assert len(reduced) <= report.checks // 10
 
 
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(7, 3)])
