@@ -13,9 +13,11 @@ A pair is won when the change's value is better in the direction
 BENCHMARK.json gives the metric; ties count for neither side. Each metric's
 `claim_met` says whether a gain on it could be claimed: the change won at
 least nine tenths of the pairs, and its median is better than the parent's
-by more than the parent's interquartile range. The summary also totals
-each side's failed and attempted operations ("runs"), and the script exits
-1, after writing the file, if any run was not correct.
+by more than the parent's interquartile range. Its `rel_change` is the
+change's median over the parent's, less 1 (None when the parent's median
+is 0). The summary also totals each side's failed and attempted operations
+("runs"), and the script exits 1, after writing the file, if any run was
+not correct.
 
 Each side runs with its own fresh bytecode cache (PYTHONPYCACHEPREFIX, a new
 temporary directory per side per invocation, inherited by the CLI processes
@@ -84,7 +86,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         out[metric] = {"parent": p_q, "change": c_q, "change_wins": wins,
                        "pairs": len(pairs),
                        "claim_met": 10 * wins >= 9 * len(pairs)
-                       and gain > p_q["q3"] - p_q["q1"]}
+                       and gain > p_q["q3"] - p_q["q1"],
+                       "rel_change": c_q["median"] / p_q["median"] - 1
+                       if p_q["median"] else None}
     out["runs"] = {side: {key: sum(p[side][key] for p in pairs)
                           for key in ("failed", "attempted")}
                    for side in ("parent", "change")}

@@ -127,6 +127,8 @@ def _input_vectors(args) -> Iterator[PositiveVector]:
 
 
 def _enforce_cap(n: int, max_n: int) -> None:
+    if max_n < 1:
+        raise InputError(f"--max-n must be at least 1, got {max_n}")
     if n > max_n:
         raise InputError(
             f"n={n} exceeds the cap of {max_n}; pass --max-n {n} to override")

@@ -18,34 +18,37 @@ slack is raised as `Violation`, never returned in a report (an
 
 Every check works on the integer form of v: the denominators are cleared
 (b = v*L, L their lcm), the sums run on ints, and each side builds one
-Fraction at the end (`_sum_over_sums`: a grouping of up to 64 distinct
-sums is put over their lcm in C, a larger one is added as a balanced tree
-of per-term-reduced pairs). The form also holds the row e_0..e_n of b,
-from the e_k recurrence (`symfun.symmetric_row`); its e_1 is B = sum(b).
-A memo of one entry keeps the form of the last vector asked for, keyed by
-the vector object, so the checks of one vector build it once. The main
-bound's left side is a subset-sum dynamic program (`symfun.products_by_sum`),
-not an enumeration; its brute-force oracle lives in the tests. Its rows are
-kept with the form, at most two passes per vector (`_IntegerForm.row`).
-`lhs_main` reduces row k and `rhs_main` reads e_k(b) from the e row, so
-neither side depends on what was asked before it. These two are the only
-statement of the bound's sides, and the form the only caller of the
-dynamic program. `main_slack_floor` reads the same row and e row in
-floats, with a proved error bound, so that fuzz can skip the reduction of
-a slack it shows positive. The k-subset side of the proof identity is the
-form's row k, while the other side keeps its own enumeration of the
-(k+1)-subsets, so the identity cross-checks the one against the other:
-the two groupings of numerators by subset sum are compared sum by sum, and
-reduced once when they agree. `main_verdict` reads only the sign of the
-main slack, from the proof's certificate: by AM-HM each k-subset sum s
-carries an integer G(s) >= 0, and the slack is 0 exactly when they all
-are (below the total), so the sign needs no Fraction and no gcd. The
-reciprocal lemma groups its terms by denominator. The pairwise lemma is a
-literal double loop over the pairs of the integer form, grouped by pair
-sum; it reads neither a row of the dynamic program nor e_2, only B, so it
-stays an independent cross-check of the main bound at k = 2. An argument
-outside a statement's domain (k outside 1..n, or n < 2 for the lemmas)
-raises `InputError`.
+Fraction at the end from an unreduced (numerator, denominator) pair
+(`_sum_over_sums`: a grouping of up to 64 distinct sums is put over their
+lcm in C, a larger one is added as a balanced tree of per-term-reduced
+pairs). The form also holds the row e_0..e_n of b, from the e_k recurrence
+(`symfun.symmetric_row`); its e_1 is B = sum(b). A memo of one entry keeps
+the form of the last vector asked for, keyed by the vector object, so the
+checks of one vector build it once. The main bound's left side is a
+subset-sum dynamic program (`symfun.products_by_sum`), not an enumeration;
+its brute-force oracle lives in the tests. Its rows are kept with the
+form, at most two passes per vector (`_IntegerForm.row`), and so is the
+pair each row is reduced to, once per vector and k
+(`_IntegerForm.row_sum`). `lhs_main` reads row k's pair and `rhs_main`
+reads e_k(b) from the e row, so neither side depends on what was asked
+before it. These two are the only statement of the bound's sides, and the
+form the only caller of the dynamic program. `main_slack_floor` reads the
+same row and e row in floats, with a proved error bound, so that fuzz can
+skip the reduction of a slack it shows positive. The k-subset side of the
+proof identity is the form's row k, while the other side keeps its own
+enumeration of the (k+1)-subsets, so the identity cross-checks the one
+against the other: the two groupings of numerators by subset sum are
+compared sum by sum, and when they agree both sides take their value from
+row k's one reduction, which `lhs_main` shares. `main_verdict` reads only
+the sign of the main slack, from the proof's certificate: by AM-HM each
+k-subset sum s carries an integer G(s) >= 0, and the slack is 0 exactly
+when they all are (below the total), so the sign needs no Fraction and no
+gcd. The reciprocal lemma groups its terms by denominator. The pairwise
+lemma is a literal double loop over the pairs of the integer form, grouped
+by pair sum; it reads neither a row of the dynamic program nor e_2, only
+B, so it stays an independent cross-check of the main bound at k = 2. An
+argument outside a statement's domain (k outside 1..n, or n < 2 for the
+lemmas) raises `InputError`.
 """
 
 from __future__ import annotations
@@ -146,12 +149,13 @@ class _IntegerForm(NamedTuple):
     """A vector v with its denominators cleared: L is their lcm, b = v*L in
     integers, e the row (e_0, ..., e_n) of b (`symmetric_row`) and B = sum(b)
     its e_1. `rows` holds the `products_by_sum` rows built for v so far, by
-    k (`row`)."""
+    k (`row`), and `sums` the reductions of those rows asked for (`row_sum`)."""
     v: PositiveVector
     ints: tuple[int, ...]
     scale: int
     e: list[int]
     rows: dict[int, dict[int, int]]
+    sums: dict[int, tuple[int, int]]
 
     @property
     def total(self) -> int:
@@ -172,6 +176,14 @@ class _IntegerForm(NamedTuple):
                 self.rows.setdefault(j, built)
         return self.rows[k]
 
+    def row_sum(self, k: int) -> tuple[int, int]:
+        """(N, D) with N/D = sum_s P(s)/s over row k (`_sum_over_sums`),
+        unreduced: each k is reduced once, and `lhs_main` and the proof
+        identity both read it."""
+        if k not in self.sums:
+            self.sums[k] = _sum_over_sums(self.row(k))
+        return self.sums[k]
+
 
 # A memo of one entry: the integer form of the last vector asked for, so the
 # checks of one vector clear its denominators, build its e row and run their
@@ -181,7 +193,7 @@ class _IntegerForm(NamedTuple):
 # the entry whole. Only a tuple is kept, since a list could change between
 # two calls. Threads that race each get a whole entry, and at worst build a
 # form or a pass twice.
-_memo = _IntegerForm(None, (), 1, [1, 0], {})
+_memo = _IntegerForm(None, (), 1, [1, 0], {}, {})
 
 
 def _integer_form(v: PositiveVector) -> _IntegerForm:
@@ -191,7 +203,7 @@ def _integer_form(v: PositiveVector) -> _IntegerForm:
     if form.v is not v:
         scale = math.lcm(*(a.denominator for a in v))
         ints = tuple([a.numerator * (scale // a.denominator) for a in v])
-        form = _IntegerForm(v, ints, scale, symmetric_row(ints, len(ints)), {})
+        form = _IntegerForm(v, ints, scale, symmetric_row(ints, len(ints)), {}, {})
         if isinstance(v, tuple):
             _memo = form
     return form
@@ -206,23 +218,24 @@ def _integer_form(v: PositiveVector) -> _IntegerForm:
 _COMMON_DENOMINATOR_MAX = 64
 
 
-def _sum_over_sums(by_sum: dict[int, int], scale: int) -> Fraction:
-    """sum_s N(s)/s / scale, for by_sum mapping each subset sum s to N(s).
+def _sum_over_sums(by_sum: dict[int, int]) -> tuple[int, int]:
+    """(num, den) with num/den = sum_s N(s)/s, for by_sum mapping each
+    subset sum s to N(s); the pair is not reduced, and each caller builds
+    its Fraction.
 
     The method follows the number of sums. Up to `_COMMON_DENOMINATOR_MAX`
     of them, D = lcm of the sums and the numerator sum_s N(s)*(D/s) are
     built in C, with no Python step per term. A larger row cancels each
     term by one small gcd, then adds the terms as a balanced tree of
     unreduced (numerator, denominator) pairs, so the operands grow evenly.
-    Either way the only large gcd is the one in the Fraction built at the
-    end.
+    Either way the only large gcd is the one in the Fraction its caller
+    builds.
     """
     if len(by_sum) <= _COMMON_DENOMINATOR_MAX:
         # reduce, not lcm(*by_sum): building that argument tuple raised the
         # peak RSS of 600 sweep passes by about 0.5 MB (x86_64, CPython 3.11)
         den = reduce(math.lcm, by_sum)
-        num = sum(map(mul, by_sum.values(), map(floordiv, repeat(den), by_sum)))
-        return Fraction(num, den * scale)
+        return sum(map(mul, by_sum.values(), map(floordiv, repeat(den), by_sum))), den
     terms = []
     for s, p in by_sum.items():
         # the entries are multiples of L / q_i, so s and N(s) share the
@@ -235,8 +248,7 @@ def _sum_over_sums(by_sum: dict[int, int], scale: int) -> Fraction:
         if len(terms) % 2:
             merged.append(terms[-1])
         terms = merged
-    num, den = terms[0]
-    return Fraction(num, den * scale)
+    return terms[0]
 
 
 def lhs_main(v: PositiveVector, k: int) -> Fraction:
@@ -248,7 +260,8 @@ def lhs_main(v: PositiveVector, k: int) -> Fraction:
     prod(b_S) over the k-subsets with sum(b_S) = s (the form's row k).
     """
     form = _integer_form(v)
-    return _sum_over_sums(form.row(k), form.scale ** (k - 1))
+    num, den = form.row_sum(k)
+    return Fraction(num, den * form.scale ** (k - 1))
 
 
 def rhs_main(v: PositiveVector, k: int) -> Fraction:
@@ -369,7 +382,8 @@ def check_reciprocal_lemma(v: PositiveVector) -> InequalityReport:
         averages[total - b] = averages.get(total - b, 0) + (n - 1) * scale
         reciprocals[b] = reciprocals.get(b, 0) + scale
     return _report(Statement.RECIPROCAL_LEMMA, v, n - 1,
-                   _sum_over_sums(averages, 1), _sum_over_sums(reciprocals, 1))
+                   Fraction(*_sum_over_sums(averages)),
+                   Fraction(*_sum_over_sums(reciprocals)))
 
 
 def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
@@ -394,8 +408,9 @@ def check_pairwise_lemma(v: PositiveVector) -> InequalityReport:
             p, s = ints[i] * ints[j], ints[i] + ints[j]
             by_sum[s] = by_sum.get(s, 0) + p
             pair_products += p
+    num, den = _sum_over_sums(by_sum)
     rhs = Fraction(n * pair_products, 2 * total * scale)
-    return _report(Statement.PAIRWISE_LEMMA, v, 2, _sum_over_sums(by_sum, scale), rhs)
+    return _report(Statement.PAIRWISE_LEMMA, v, 2, Fraction(num, den * scale), rhs)
 
 
 # --------------------------------------------------------------------------
@@ -430,8 +445,11 @@ def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
     right enumerates (k+1)-subsets and their k-sub-subsets, S less one entry
     (`_superset_groups`). The groupings agree sum by sum, since the S that
     hold a k-subset T add up to prod(b_T) * (B - sum(b_T)). When they do,
-    one reduction serves both sides; otherwise each side is reduced on its
-    own, so a side that is off keeps its own value.
+    both sides are k * (B*N - E*D) / (D * B^k), from row k's one reduction
+    N/D = sum_s P(s)/s (`_IntegerForm.row_sum`, which `lhs_main` shares)
+    and E = sum_s P(s), the row's own total, not the form's e_k; otherwise
+    each side is reduced on its own, so a side that is off keeps its own
+    value.
     """
     n = len(v)
     if not 0 < k < n:
@@ -443,10 +461,14 @@ def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
     # its place and the identity holds no more than the two groupings would
     if len(right) == len(row) and all(right.get(s) == p * (total - s)
                                       for s, p in row.items()):
-        side = k * _sum_over_sums(right, scale)
+        # sum_s P(s)*(B - s)/s = B*N/D - E over row k's reduction N/D, which
+        # lhs_main shares, with E = sum_s P(s) read off the row itself
+        num, den = form.row_sum(k)
+        side = Fraction(k * (total * num - sum(row.values()) * den), den * scale)
         return side, side
     left = {s: p * (total - s) for s, p in row.items()}
-    return k * _sum_over_sums(left, scale), k * _sum_over_sums(right, scale)
+    (ln, ld), (rn, rd) = _sum_over_sums(left), _sum_over_sums(right)
+    return Fraction(k * ln, ld * scale), Fraction(k * rn, rd * scale)
 
 
 def check_proof_identity(v: PositiveVector, k: int) -> InequalityReport:

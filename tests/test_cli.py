@@ -7,6 +7,7 @@ import os
 import re
 import shlex
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -139,6 +140,10 @@ def test_bench_pairs_states_whether_a_claim_is_met(change, claim_met):
         pairs, {"wall_s": "lower", "checks_per_s": "higher"})
     assert summary["wall_s"]["claim_met"] is claim_met
     assert summary["checks_per_s"]["claim_met"] is claim_met
+    # each metric's relative change of the medians, change / parent - 1
+    for metric, of in (("wall_s", lambda wall: wall), ("checks_per_s", lambda wall: 1 / wall)):
+        medians = [statistics.median(map(of, side)) for side in (parent, change)]
+        assert summary[metric]["rel_change"] == pytest.approx(medians[1] / medians[0] - 1)
 
 
 def readme_examples():
@@ -675,6 +680,23 @@ def test_n_cap_blocks_and_override_unblocks():
     allowed = run_cli("check", "--values", values, "--k", "1", "--max-n", "21")
     assert allowed.returncode == 0
     assert "n=21" in allowed.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--k", "2", "--values", "1,2"),
+    ("lemma", "--which", "pairwise", "--values", "1,2"),
+    ("identity", "--k", "1", "--values", "1,2"),
+    ("fuzz", "--n", "2..3", "--trials", "1"),
+    ("maximize", "--n", "3", "--k", "2"),
+])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_a_cap_below_one_is_refused(argv, cap, capsys):
+    # no vector fits under such a cap, so it is refused as a cap, not
+    # reported as a vector that exceeds it
+    code = main([*argv, "--max-n", cap])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"symineq: error: --max-n must be at least 1, got {cap}\n"
 
 
 def test_witnessed_violation_exits_2(monkeypatch, capsys):

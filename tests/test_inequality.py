@@ -169,7 +169,8 @@ def six_digit_row(size):
 @example(six_digit_row(_COMMON_DENOMINATOR_MAX + 1), 999_999)
 @example({999_983: 123_457, 999_979: 654_321, 6: 1}, 720)
 def test_sum_over_sums_is_its_fraction_sum_on_both_sides_of_the_size_rule(by_sum, scale):
-    assert _sum_over_sums(by_sum, scale) == sums_oracle(by_sum, scale)
+    num, den = _sum_over_sums(by_sum)
+    assert Fraction(num, den * scale) == sums_oracle(by_sum, scale)
 
 
 def fuzz_oracle(n_range, k_policy, trials, distribution, seed):
@@ -752,15 +753,66 @@ def test_identity_reduces_agreeing_groupings_once(v, data):
     k = data.draw(st.integers(min_value=1, max_value=len(v) - 1))
     reduced = []
 
-    def counted(by_sum, scale):
+    def counted(by_sum):
         reduced.append(by_sum)
-        return _sum_over_sums(by_sum, scale)
+        return _sum_over_sums(by_sum)
 
+    # copies of v, distinct objects, so each starts on a fresh integer form
+    fresh, checked = make_vector(list(v)), make_vector(list(v))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("symineq.inequality._sum_over_sums", counted)
-        left, right = proof_identity(v, k)
-    assert len(reduced) == 1
-    assert left == right == identity_oracle(v, k)
+        # the identity alone reduces row k, and only it
+        left, right = proof_identity(fresh, k)
+        assert reduced == [_integer_form(fresh).rows[k]]
+        # after check_main, the identity reads the reduction lhs_main made
+        main = check_main(checked, k)
+        identity = check_proof_identity(checked, k)
+        assert len(reduced) == 2 and reduced[1] is _integer_form(checked).rows[k]
+    assert left == right == identity.lhs == identity.rhs == identity_oracle(v, k)
+    assert main.lhs == lhs_oracle(v, k)
+
+
+@settings(deadline=None)  # the oracles enumerate up to C(8, 4) subsets per k
+@given(st.one_of(vectors2, wide_vectors2,
+                 near_uniform_vectors.filter(lambda v: len(v) >= 2)))
+def test_identity_and_lhs_match_their_oracles_in_either_order(v):
+    # each order on a fresh copy of v: the identity alone, the identity
+    # after lhs_main, and lhs_main after the identity
+    for k in range(1, len(v)):
+        lhs, identity = lhs_oracle(v, k), identity_oracle(v, k)
+        assert proof_identity(make_vector(list(v)), k) == (identity, identity)
+        u = make_vector(list(v))
+        assert lhs_main(u, k) == lhs
+        assert proof_identity(u, k) == (identity, identity)
+        u = make_vector(list(v))
+        assert proof_identity(u, k) == (identity, identity)
+        assert lhs_main(u, k) == lhs
+    # the form keeps the reduced row's pair, and lets it go with the memo
+    [pair] = _integer_form(u).sums.values()
+    held = sys.getrefcount(pair)
+    del u
+    lhs_main(make_vector([2, 3]), 1)
+    assert sys.getrefcount(pair) == held - 1
+
+
+@settings(deadline=None)  # the oracle sums up to C(8, 4) subsets of 6-digit rationals
+@given(st.one_of(vectors2, wide_vectors2).filter(lambda v: len(v) >= 3), st.data())
+def test_agreeing_identity_reads_no_e_row(v, data):
+    # the identity takes E = e_k(b) from the row it compares, not from the
+    # form's e row, so with e_k corrupted after check_main it is unchanged
+    # (k >= 2: the identity does read e_1 = B, the total of b)
+    k = data.draw(st.integers(min_value=2, max_value=len(v) - 1))
+    check_main(v, k)
+    form = _integer_form(v)
+    ek = form.e[k]
+    form.e[k] = ek + 1  # read, it would show
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            forbid(patch, symmetric_row, elementary_symmetric)
+            expected = identity_oracle(v, k)
+            assert proof_identity(v, k) == (expected, expected)
+    finally:
+        form.e[k] = ek
 
 
 def test_identity_reduces_each_side_of_disagreeing_groupings(monkeypatch):
