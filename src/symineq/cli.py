@@ -106,13 +106,14 @@ def _input_vectors(args) -> Iterator[PositiveVector]:
     """Yield each input vector just before it is checked: --values, or one
     vector per line of --file, where blank lines and text after '#' are
     ignored. The file is read and decoded whole first, so an unreadable,
-    non-UTF-8 or vector-less file is refused before any output."""
+    non-UTF-8 or vector-less file is refused before any output; a leading
+    byte order mark, which some editors write, is dropped."""
     if args.values is not None:
         yield _parse_vector("--values", args.values)
         return
     path = args.file
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

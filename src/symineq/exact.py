@@ -3,10 +3,6 @@
 Every quantity on a verification path is an arbitrary-precision rational
 (`fractions.Fraction`), which keeps canonical form -- positive denominator,
 gcd(|numerator|, denominator) = 1 -- after every arithmetic operation.
-Floats appear only in the float search (`symineq.search`, and the float
-terms `symineq.symfun` computes for it) and in fuzz's slack floor
-(`inequality.main_slack_floor`). An approximation decides nothing without a
-proved error bound; every violation and the reported minimum are exact.
 
 Scalar text grammar (bit-exact):
 
@@ -91,6 +87,16 @@ def render_scalar(x: Fraction) -> str:
             f"the {sys.get_int_max_str_digits()}-digit limit for rendering") from exc
 
 
+def _shown(x: Fraction) -> str:
+    """render_scalar(x), or, for a value past the digit limit, its digit count
+    in render_scalar's words, in parentheses: a repr or a witnessed violation
+    is never refused."""
+    try:
+        return render_scalar(x)
+    except InputError as exc:
+        return f"({exc})"
+
+
 class PositiveVector(tuple):
     """An ordered multiset of strictly positive exact rationals (repeats kept):
     the tuple of its entries, as `make_vector` validated them."""
@@ -101,7 +107,7 @@ class PositiveVector(tuple):
         return sum(self, Fraction(0))
 
     def __repr__(self) -> str:
-        return f"PositiveVector({', '.join(render_scalar(a) for a in self)})"
+        return f"PositiveVector({', '.join(map(_shown, self))})"
 
 
 def make_vector(values: Iterable[Union[Fraction, int]]) -> PositiveVector:

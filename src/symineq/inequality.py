@@ -5,50 +5,22 @@ for the product and sum(a_S) for the sum over S. Then
 
     sum_{|S|=k} prod(a_S)/sum(a_S)  <=  (n/k) * e_k(a) / (a_1+...+a_n)
 
-with equality for k = 1 and k = n identically, and exactly at uniform
-vectors for 1 < k < n; a report's `is_equality` flag is that locus, read
-off the exact slack. Supporting checks: the reciprocal bound
-(sum 1/a_i >= sum of reciprocals of the (n-1)-wise averages), the pairwise
-product bound (the k = 2 case written as a direct double sum), and the
-rearrangement identity behind the proof. Every verdict is exact: the one
-float computation, fuzz's slack floor below, carries a proved error bound
-and only ever lets a check it proves positive go unreduced. A negative
-slack is raised as `Violation`, never returned in a report (an
-`InequalityReport`, a named tuple).
+What each public function decides:
 
-Every check works on the integer form of v: the denominators are cleared
-(b = v*L, L their lcm), the sums run on ints, and each side builds one
-Fraction at the end from an unreduced (numerator, denominator) pair
-(`_sum_over_sums`: a grouping of up to 64 distinct sums is put over their
-lcm in C, a larger one is added as a balanced tree of per-term-reduced
-pairs). The form also holds the row e_0..e_n of b, from the e_k recurrence
-(`symfun.symmetric_row`); its e_1 is B = sum(b). A memo of one entry keeps
-the form of the last vector asked for, keyed by the vector object, so the
-checks of one vector build it once. The main bound's left side is a
-subset-sum dynamic program (`symfun.products_by_sum`), not an enumeration;
-its brute-force oracle lives in the tests. Its rows are kept with the
-form, at most two passes per vector (`_IntegerForm.row`), and so is the
-pair each row is reduced to, once per vector and k
-(`_IntegerForm.row_sum`). `lhs_main` reads row k's pair and `rhs_main`
-reads e_k(b) from the e row, so neither side depends on what was asked
-before it. These two are the only statement of the bound's sides, and the
-form the only caller of the dynamic program. `main_slack_floor` reads the
-same row and e row in floats, with a proved error bound, so that fuzz can
-skip the reduction of a slack it shows positive. The k-subset side of the
-proof identity is the form's row k, while the other side keeps its own
-enumeration of the (k+1)-subsets, so the identity cross-checks the one
-against the other: the two groupings of numerators by subset sum are
-compared sum by sum, and when they agree both sides take their value from
-row k's one reduction, which `lhs_main` shares. `main_verdict` reads only
-the sign of the main slack, from the proof's certificate: by AM-HM each
-k-subset sum s carries an integer G(s) >= 0, and the slack is 0 exactly
-when they all are (below the total), so the sign needs no Fraction and no
-gcd. The reciprocal lemma groups its terms by denominator. The pairwise
-lemma is a literal double loop over the pairs of the integer form, grouped
-by pair sum; it reads neither a row of the dynamic program nor e_2, only
-B, so it stays an independent cross-check of the main bound at k = 2. An
-argument outside a statement's domain (k outside 1..n, or n < 2 for the
-lemmas) raises `InputError`.
+- `lhs_main`, `rhs_main`: the bound's two sides; `check_main` reports them
+  with the slack rhs - lhs and whether it is an equality.
+- `main_verdict`: the sign of that slack alone, with neither side reduced.
+- `main_slack_floor`: a float proved to lie below that slack, or None.
+- `check_reciprocal_lemma`, `check_pairwise_lemma`: the supporting bounds.
+- `proof_identity`, `check_proof_identity`: the rearrangement identity
+  behind the proof.
+- `report_to_record`: a report's flat record of canonical strings.
+
+Every verdict is exact, and `main_slack_floor` is the only float, under a
+proved error bound. Each check reads the vector's integer form
+(`_IntegerForm`). A negative slack raises `Violation` with its exact
+witness, never returned in a report; an argument outside a statement's
+domain raises `InputError`.
 """
 
 from __future__ import annotations
@@ -62,7 +34,7 @@ from itertools import combinations, repeat
 from operator import floordiv, mul, truediv
 from typing import NamedTuple, Optional, Sequence
 
-from symineq.exact import InputError, PositiveVector, render_scalar
+from symineq.exact import InputError, PositiveVector, _shown, render_scalar
 from symineq.symfun import (
     check_k,
     products_and_cofactors_by_sum,
@@ -88,22 +60,10 @@ class Violation(Exception):
         self.k = k
         self.lhs = lhs
         self.rhs = rhs
-        # each entry as in PositiveVector's repr, which refuses a long one
-        entries = ", ".join(_shown(a) for a in v)
         super().__init__(
             f"{statement.value} violated at n={len(v)} k={k}: "
-            f"lhs={_shown(lhs)} rhs={_shown(rhs)} slack={_shown(rhs - lhs)} "
-            f"v=PositiveVector({entries})"
+            f"lhs={_shown(lhs)} rhs={_shown(rhs)} slack={_shown(rhs - lhs)} v={v!r}"
         )
-
-
-def _shown(x: Fraction) -> str:
-    """render_scalar(x), or, for a value past the digit limit, its digit count
-    in render_scalar's words: a witnessed violation is never refused."""
-    try:
-        return render_scalar(x)
-    except InputError as exc:
-        return f"({exc})"
 
 
 class InequalityReport(NamedTuple):
@@ -440,35 +400,33 @@ def proof_identity(v: PositiveVector, k: int) -> tuple[Fraction, Fraction]:
     With b the integer form of v and B = sum(b), w = b/B, so
     left  = k * sum_T prod(b_T) * (B - sum(b_T)) / sum(b_T) / B^k and
     right = k * sum_{S, T} prod(b_S) / sum(b_T) / B^k. Each side groups its
-    numerators by sum(b_T): left is row k of the `products_by_sum` dynamic
-    program, the form's (`_IntegerForm.row`), each group times B - sum(b_T);
-    right enumerates (k+1)-subsets and their k-sub-subsets, S less one entry
-    (`_superset_groups`). The groupings agree sum by sum, since the S that
-    hold a k-subset T add up to prod(b_T) * (B - sum(b_T)). When they do,
-    both sides are k * (B*N - E*D) / (D * B^k), from row k's one reduction
+    numerators by s = sum(b_T). Left's groups are P(s) * (B - s) over row k
+    of the `products_by_sum` dynamic program (`_IntegerForm.row`), so
+    left = k * (B*N - E*D) / (D * B^k), from row k's one reduction
     N/D = sum_s P(s)/s (`_IntegerForm.row_sum`, which `lhs_main` shares)
-    and E = sum_s P(s), the row's own total, not the form's e_k; otherwise
-    each side is reduced on its own, so a side that is off keeps its own
-    value.
+    and E = sum_s P(s), the row's own total, not the form's e_k. Right
+    enumerates the (k+1)-subsets and their k-sub-subsets, S less one entry
+    (`_superset_groups`), so the identity checks the dynamic program against
+    brute force. The groupings agree sum by sum, since the S that hold a
+    k-subset T add up to prod(b_T) * (B - sum(b_T)). When they do, right is
+    left; otherwise right is reduced on its own grouping, so a side that is
+    off keeps its own value.
     """
     n = len(v)
     if not 0 < k < n:
         raise InputError(f"the identity needs 0 < k < n, got k={k} n={n}")
     form = _integer_form(v)
     row, right, total = form.row(k), _superset_groups(form.ints, k), form.total
+    num, den = form.row_sum(k)
     scale = total ** k
+    left = Fraction(k * (total * num - sum(row.values()) * den), den * scale)
     # compared without building the left grouping, so the kept row stands in
     # its place and the identity holds no more than the two groupings would
     if len(right) == len(row) and all(right.get(s) == p * (total - s)
                                       for s, p in row.items()):
-        # sum_s P(s)*(B - s)/s = B*N/D - E over row k's reduction N/D, which
-        # lhs_main shares, with E = sum_s P(s) read off the row itself
-        num, den = form.row_sum(k)
-        side = Fraction(k * (total * num - sum(row.values()) * den), den * scale)
-        return side, side
-    left = {s: p * (total - s) for s, p in row.items()}
-    (ln, ld), (rn, rd) = _sum_over_sums(left), _sum_over_sums(right)
-    return Fraction(k * ln, ld * scale), Fraction(k * rn, rd * scale)
+        return left, left
+    num, den = _sum_over_sums(right)
+    return left, Fraction(k * num, den * scale)
 
 
 def check_proof_identity(v: PositiveVector, k: int) -> InequalityReport:

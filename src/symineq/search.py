@@ -1,32 +1,14 @@
 """Float-side exploration of the main bound.
 
-Two harnesses live here: seeded randomized fuzzing of the main bound, and
-ratio maximization over the unit simplex, which demonstrates tightness by
-ascending the (float) ratio of the two sides toward the uniform point and
-then re-certifying the final iterate exactly. An approximation decides
-nothing without a proved error bound; every violation and the reported
-minimum are exact. A fuzz trial reads each of its k's from the vector's
-integer form (one e row and at most two subset-sum dynamic program passes
-per vector): a check whose float floor (`inequality.main_slack_floor`)
-proves its slack positive and above the minimum so far is counted and
-not reduced, and every other check is reduced exactly by
-`inequality.lhs_main` and `rhs_main`.
+- `fuzz`: seeded random trials of the main bound over a `Distribution`.
+- `maximize_ratio`: projected gradient ascent of the float ratio lhs/rhs
+  over the unit simplex toward the uniform point, its final point
+  re-certified exactly.
+- `ratio_float`, `finite_difference_gradient`, `project_simplex` and
+  `left_sum`: the ascent's objective, gradient, projection and float sums.
 
-This module runs the float search; the float kernels it calls are
-`symineq.symfun`'s. Its float sums are left folds (`left_sum`, in C by
-`itertools.accumulate`), never `sum()`, which compensates float sums from
-Python 3.12 on: the seeded ascent's output bytes depend on the order of
-every addition. The float objective has the e_k row recurrence
-(`symmetric_row`) and the subset term kernels of `symineq.symfun` to
-itself: `subset_terms` over whole levels for a
-point, `moved_terms` in place, at the subsets that hold x_i, for the
-gradient's moved points. `_ratio` forms every point's ratio, from its
-terms and one whole e_k row, whose e_1 is the point's sum. The gradient
-reuses the terms `ratio_float` last built, at the same float bits. A float
-rhs below the normal range gives a NaN ratio, which the ascent rejects; a
-gradient that is not finite ends the ascent unconverged. The final point
-is re-certified by the proof's certificate (`inequality.main_verdict`),
-with neither side reduced. The ascent works on plain lists. Both
+A float decides nothing here: every violation, fuzz's reported minimum and
+maximize's verdict are exact, and seeded runs are byte-identical. Both
 harnesses take their settings as plain arguments and return only what they
 computed, as named tuples (`FuzzReport`, `SearchResult`); describing a
 run's inputs is the caller's job. Bad arguments raise `InputError`.
@@ -120,18 +102,16 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     """Run seeded random trials of the main bound, every verdict exact.
 
     Each trial draws n uniformly from the sub-range of n_range that admits
-    the k policy, samples one vector, and checks every selected k: the
-    vector's integer form runs a pass pruned to its first k and, for a
-    second k, one pass for every row. The first check of the run, and each
-    check whose `main_slack_floor` is None or not above the minimum slack
-    so far, is reduced to rhs_main - lhs_main. Any other check has a slack
-    proved positive and above that minimum, so it can neither be a
-    violation nor replace the minimum, and it is only counted. The minimum
-    slack and its witness are tracked with a deterministic tie-break
-    (slack, then witness entries lexicographically, then k), so identical
-    seeds reproduce the report bit for bit. A negative slack counts as a
-    violation and the run goes on, so a violation surfaces as a negative
-    min_slack with its exact witness attached.
+    the k policy, samples one vector, and checks every selected k. The
+    first check of the run, and each check whose `main_slack_floor` is None
+    or not above the minimum slack so far, is reduced to rhs_main - lhs_main.
+    Any other check has a slack proved positive and above that minimum, so
+    it can neither be a violation nor replace the minimum, and it is only
+    counted. The minimum slack and its witness are tracked with a
+    deterministic tie-break (slack, then witness entries lexicographically,
+    then k), so identical seeds reproduce the report bit for bit. A negative
+    slack counts as a violation and the run goes on, so a violation surfaces
+    as a negative min_slack with its exact witness attached.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:
@@ -193,7 +173,13 @@ class SearchResult(NamedTuple):
 
 
 def left_sum(xs: Iterable[float]) -> float:
-    """((0.0 + x_0) + x_1) + ...: the left fold of reduce(add, xs, 0.0)."""
+    """((0.0 + x_0) + x_1) + ...: the left fold of reduce(add, xs, 0.0), in C
+    by `itertools.accumulate`.
+
+    Every float sum of the ascent is this fold, never `sum()`, which
+    compensates float sums from Python 3.12 on: the seeded ascent's output
+    bytes depend on the order of every addition.
+    """
     return deque(accumulate(xs, initial=0.0), maxlen=1)[0]
 
 

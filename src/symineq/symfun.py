@@ -1,29 +1,19 @@
 """Combinatorial kernels: elementary symmetric polynomials, products grouped
 by subset sum, and subset terms over shared prefixes.
 
+- `symmetric_row`: the row e_0..e_k of any number type, the one e_k kernel
+  of both the float objective and the exact checks.
+- `elementary_symmetric`: e_k alone. Nothing in `src/` calls it; it stays
+  only as a span target of the benchmark's tracer, until that span moves.
+- `products_by_sum`: the exact subset products totalled by subset sum, for
+  the main bound's left side; `products_and_cofactors_by_sum` adds each
+  sum's total of e_{k-1}, for the certificate of `inequality.main_verdict`.
+- `subset_terms`, `moved_terms`: the float objective's terms prod(S)/sum(S)
+  at a point, and at that point with one entry moved.
+- `check_k`: the rule 0 < k <= n.
+
 Subsets are canonical strictly-increasing index tuples in lexicographic
 order; the seeded float objective's bytes rely on it, no exact result does.
-`symmetric_row` is the row dynamic program of the elementary symmetric
-polynomials, generic over the number type, from the int seeds 1 and 0, and
-the one source of e_k: the float objective reads e_k and the coordinate
-sum e_1 from one row per point, the exact checkers read them from one
-integer row per vector (`inequality`'s integer form), and
-`elementary_symmetric` reads e_k from it for any number type.
-`products_by_sum` is the same recurrence on integers with every row keyed
-by subset sum, for the exact left side of the main bound and the k-subset
-side of the proof identity. One pass serves every requested k, since row j
-is the answer for k = j; its one caller, the integer form, asks for a
-vector's first k alone, then for every row. Its second form,
-`products_and_cofactors_by_sum`, also carries E(s), the total of e_{k-1}
-over the k-subsets with sum s (Q += b*Q' + P'), for the certificate of
-`inequality.main_verdict`; the first form keeps its one product per sum.
-`subset_terms` gives the float objective's terms prod(S)/sum(S)
-from the products and sums of the subset prefixes, built level by level,
-so a shared prefix is folded once, bit for bit as a left-to-right fold
-over each subset would give. Its recurrence has a second form next to it:
-after one entry moved, `moved_terms` runs it in place on copies, at the
-positions that hold that entry (`_coordinate_plan`). One plan serves both,
-and the gradient's oracle test holds them equal.
 The brute-force oracles live in the tests. Every argument check raises
 `InputError`.
 """
@@ -189,6 +179,8 @@ def products_and_cofactors_by_sum(ints: Sequence[int], k: int) -> dict[int, tupl
     gives prod(T' + b) = b * prod(T') and e_j(T' + b) = e_j(T') + b * e_{j-1}(T'),
     where e_j(T') is prod(T') for j = |T'|; so each row carries (P, E) with
     P += b * P' and E += b * E' + P', seeded with (1, 0) for the empty subset.
+    It is a loop of its own so that `products_by_sum`, behind every exact
+    check of the main bound, keeps one product per sum.
     """
     n = len(ints)
     check_k(k, n)

@@ -29,6 +29,7 @@ README = ROOT / "README.md"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SPANS = ROOT / "perfbench" / "spans.py"
 BENCH_PAIRS = ROOT / "scripts" / "bench_pairs.py"
+CODE_LINES = ROOT / "scripts" / "code_lines.py"
 
 
 def run_cli(*args):
@@ -144,6 +145,40 @@ def test_bench_pairs_states_whether_a_claim_is_met(change, claim_met):
     for metric, of in (("wall_s", lambda wall: wall), ("checks_per_s", lambda wall: 1 / wall)):
         medians = [statistics.median(map(of, side)) for side in (parent, change)]
         assert summary[metric]["rel_change"] == pytest.approx(medians[1] / medians[0] - 1)
+
+
+# code lines 4, 8, 10-11, 12 and 15; doc lines 1-2, 4, 7, 9 and 16
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment
+
+
+# a comment line
+def f(x):
+    """A function docstring."""
+    text = """a string,
+    not a docstring"""
+    return x
+
+
+class C:
+    """A class docstring."""
+'''
+
+
+def test_code_lines_counts_code_and_doc_lines(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    assert code_lines.count_lines(CODE_LINES_FIXTURE) == (6, 6)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n# note\n")
+    code_lines.main([str(tmp_path / "pkg")])
+    assert capsys.readouterr().out == ("a.py code=6 doc=6\n"
+                                       "b.py code=1 doc=1\n"
+                                       "total code=7 doc=7\n")
 
 
 def readme_examples():
@@ -660,6 +695,19 @@ def test_file_lines_are_parsed_as_they_are_checked(tmp_path):
         assert (result.returncode, result.stdout) == (1, ""), path
         assert result.stderr.startswith(f"symineq: error: {path}: {message}"), result.stderr
         assert result.stderr.count("\n") == 1
+
+
+def test_file_with_a_leading_byte_order_mark_is_read(tmp_path):
+    # as Notepad saves UTF-8; a mark anywhere else is still a malformed scalar
+    marked = tmp_path / "bom.txt"
+    marked.write_bytes(b"\xef\xbb\xbf1,2,3\n")
+    result = run_cli("check", "--file", str(marked), "--k", "2")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == run_cli("check", "--values", "1,2,3", "--k", "2").stdout
+    marked.write_bytes(b"\xef\xbb\xbf1,2,3\n\xef\xbb\xbf4,5\n")
+    result = run_cli("check", "--file", str(marked), "--k", "2")
+    assert result.returncode == 1
+    assert result.stderr == f"symineq: error: {marked}:2:1: malformed scalar '\\ufeff4'\n"
 
 
 def test_unknown_distribution_names_the_three_kinds():

@@ -166,6 +166,13 @@ def test_vector_repr_shows_entries():
     assert "1" in repr(make_vector([1, 2])) and "2" in repr(make_vector([1, 2]))
 
 
+def test_vector_repr_names_an_entry_past_the_digit_limit_by_its_digit_count():
+    # a repr never raises: the long entry shows as render_scalar's refusal
+    assert repr(make_vector([Fraction(1, 3), 10 ** 5000, 2])) == (
+        "PositiveVector(1/3, (exact value of about 5001 digits is past the "
+        "4300-digit limit for rendering), 2)")
+
+
 @given(st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=1000),
                 min_size=1, max_size=8))
 def test_total_matches_sum(entries):

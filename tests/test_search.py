@@ -398,8 +398,10 @@ def test_maximize_results_pinned(config, digest):
 
 def test_maximize_results_pinned_when_sum_compensates(monkeypatch):
     # Python 3.12's sum() compensates float sums; math.fsum stands in for it
-    # on any version, so a float sum() left in the ascent changes a digest
+    # on any version, so a float sum() left in the ascent or in the float
+    # kernels it calls changes a digest
     monkeypatch.setattr("symineq.search.sum", math.fsum, raising=False)
+    monkeypatch.setattr("symineq.symfun.sum", math.fsum, raising=False)
     for config, digest in PINNED_RESULTS:
         result = maximize_ratio(**config)
         assert hashlib.sha256(pinned_repr(result, config["k"]).encode()).hexdigest() == \
