@@ -16,8 +16,9 @@ least nine tenths of the pairs, and its median is better than the parent's
 by more than the parent's interquartile range. Its `rel_change` is the
 change's median over the parent's, less 1 (None when the parent's median
 is 0). The summary also totals each side's failed and attempted operations
-("runs"), and the script exits 1, after writing the file, if any run was
-not correct.
+("runs"). After writing the file the script prints each metric's
+`rel_change`, wins/pairs and `claim_met` to stderr, one line per metric,
+and exits 1 if any run was not correct.
 
 Each side runs with its own fresh bytecode cache (PYTHONPYCACHEPREFIX, a new
 temporary directory per side per invocation, inherited by the CLI processes
@@ -95,6 +96,19 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def summary_lines(key: str, summary: dict) -> list[str]:
+    """One line per metric of a summary: its relative change of the medians,
+    the pairs the change won and whether a gain on it could be claimed."""
+    lines = []
+    for metric, s in summary.items():
+        if metric == "runs":
+            continue
+        rel = "n/a" if s["rel_change"] is None else f"{s['rel_change']:+.2%}"
+        lines.append(f"{key} {metric}: rel_change={rel} "
+                     f"wins={s['change_wins']}/{s['pairs']} claim_met={s['claim_met']}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -128,12 +142,15 @@ def main() -> int:
                 f"{side} wall_s={pair[side]['metrics'].get('wall_s')}" for side in sides),
                 file=sys.stderr)
 
+    key, summary = f"{args.workload}/trace{args.trace}", summarize(pairs, better)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc[f"{args.workload}/trace{args.trace}"] = {
+    doc[key] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
                    f"--trace {args.trace}",
-        "seeds": list(args.seeds), "pairs": pairs, "summary": summarize(pairs, better)}
+        "seeds": list(args.seeds), "pairs": pairs, "summary": summary}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for line in summary_lines(key, summary):
+        print(line, file=sys.stderr)
     wrong = [f"{side} seed {p['seed']}" for p in pairs for side in sides
              if not p[side]["correct"]]
     if wrong:

@@ -147,6 +147,21 @@ def test_bench_pairs_states_whether_a_claim_is_met(change, claim_met):
         assert summary[metric]["rel_change"] == pytest.approx(medians[1] / medians[0] - 1)
 
 
+def test_bench_pairs_prints_one_line_per_metric():
+    summary = {
+        "op_p50_s": {"change_wins": 33, "pairs": 36, "claim_met": True,
+                     "rel_change": -0.0702},
+        "peak_rss_mb": {"change_wins": 0, "pairs": 36, "claim_met": False,
+                        "rel_change": None},
+        "runs": {"parent": {"failed": 0, "attempted": 36},
+                 "change": {"failed": 0, "attempted": 36}},
+    }
+    assert load_bench_pairs().summary_lines("maximize/trace0", summary) == [
+        "maximize/trace0 op_p50_s: rel_change=-7.02% wins=33/36 claim_met=True",
+        "maximize/trace0 peak_rss_mb: rel_change=n/a wins=0/36 claim_met=False",
+    ]
+
+
 # code lines 4, 8, 10-11, 12 and 15; doc lines 1-2, 4, 7, 9 and 16
 CODE_LINES_FIXTURE = '''"""A module docstring
 over two lines."""

@@ -21,7 +21,13 @@ from symineq.search import (
     project_simplex,
     ratio_float,
 )
-from symineq.symfun import _coordinate_plan, _prefix_plan, elementary_symmetric
+from symineq.symfun import (
+    _coordinate_plan,
+    _prefix_plan,
+    elementary_symmetric,
+    moved_terms,
+    subset_terms,
+)
 
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
 vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
@@ -308,7 +314,7 @@ def pooled_points(draw):
 @example(([1 / 6] * 6, 3))  # the uniform point
 @example(([SIMPLEX_FLOOR, SIMPLEX_FLOOR, 0.3, 0.7 - 2 * SIMPLEX_FLOOR], 2))  # hi = 0.5 * xi
 @example(([0.1, 0.2, 0.3, 0.15, 0.25], 4))  # k = n - 1
-@example(([0.5, 0.25] * 129, 1))  # n > 256: indices past one byte
+@example(([0.5, 0.25] * 129, 1))  # n > 256: indices past CPython's cached small ints
 @settings(deadline=None)
 def test_gradient_is_the_oracle_bit_for_bit(point):
     x, k = point
@@ -332,16 +338,40 @@ def test_coordinate_tables_list_exactly_the_subsets_that_hold_i():
     for n in range(1, 9):
         for k in range(1, n + 1):
             plan, held = _prefix_plan(n, k), _coordinate_plan(n, k)
+            assert len(held) == n and all(len(rows) == k for rows in held)
             subsets = [()]
             for j, (parents, indices) in enumerate(plan, start=1):
                 subsets = [subsets[q] + (a,) for q, a in zip(parents, indices)]
                 assert subsets == [S for S in combinations(range(n), j)
                                    if S[-1] < n - k + j]
+                shared = {}  # position -> the one triple every coordinate holds
                 for i in range(n):
-                    assert list(held[i][j - 1]) == \
+                    triples = held[i][j - 1]
+                    assert [m for m, _, _ in triples] == \
                         [m for m, S in enumerate(subsets) if i in S]
+                    for triple in triples:
+                        m, q, a = triple
+                        assert (q, a) == (parents[m], indices[m])
+                        assert shared.setdefault(m, triple) is triple
             assert subsets == list(combinations(range(n), k))
-            assert len(held) == n
+
+
+@pytest.mark.parametrize("n,k", [(13, 6), (12, 11), (14, 2), (16, 8)])
+def test_moved_terms_are_the_moved_points_terms_past_n_10(n, k):
+    # the benchmark's (13, 6) and others past the n <= 10 that Hypothesis
+    # draws; entry 0 sits at the simplex floor, where the step is half of it
+    rng = random.Random(100 * n + k)
+    x = project_simplex([rng.random() for _ in range(n)])
+    x[0] = SIMPLEX_FLOOR
+    levels, terms = subset_terms(x, k)
+    for i, xi in enumerate(x):
+        hi = min(GRADIENT_STEP, 0.5 * xi)
+        xs = list(x)
+        for xs[i] in (xi + hi, xi - hi):
+            assert [t.hex() for t in moved_terms(levels, terms, xs, i)] == \
+                [t.hex() for t in subset_terms(xs, k)[1]], (i, xs[i])
+    assert [g.hex() for g in finite_difference_gradient(x, k)] == \
+        [g.hex() for g in gradient_oracle(x, k)]
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 4)])
