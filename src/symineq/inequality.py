@@ -10,7 +10,11 @@ What each public function decides:
 - `lhs_main`, `rhs_main`: the bound's two sides; `check_main` reports them
   with the slack rhs - lhs and whether it is an equality.
 - `main_verdict`: the sign of that slack alone, with neither side reduced.
+- `main_slack_term`: an exact lower bound on that slack, one subset's term
+  of the proof's certificate, read with no subset-sum pass.
 - `main_slack_floor`: a float proved to lie below that slack, or None.
+- `main_slack_exceeds`: whether that slack is proved above a given value,
+  by the term and then the floor.
 - `check_reciprocal_lemma`, `check_pairwise_lemma`: the supporting bounds.
 - `proof_identity`, `check_proof_identity`: the rearrangement identity
   behind the proof.
@@ -123,17 +127,22 @@ class _IntegerForm(NamedTuple):
 
     def row(self, k: int) -> dict[int, int]:
         """Row k of `products_by_sum` on b: each k-subset sum s maps to the
-        total of prod(b_S) over the k-subsets with sum s. A vector runs at
-        most two passes: the first row asked of the form comes from a pass
-        pruned to its k, so a single-k check holds one row, and a later
-        request for a row the form does not hold runs one pass over every
-        k, after which the form keeps every row (those it held stay)."""
+        total of prod(b_S) over the k-subsets with sum s. Row n is the one
+        n-subset, {B: e_n}, read from the e row with no pass. A vector runs
+        at most two passes for the rows below n: the first of them asked of
+        the form comes from a pass pruned to its k, so a single-k check
+        holds one row, and a later request for one the form does not hold
+        runs one pass over every k, after which the form keeps every row
+        (those it held stay)."""
         if k not in self.rows:
             n = len(self.ints)
             check_k(k, n)
-            ks = range(1, n + 1) if self.rows else (k,)
-            for j, built in zip(ks, products_by_sum(self.ints, ks)):
-                self.rows.setdefault(j, built)
+            if k == n:
+                self.rows[k] = {self.total: self.e[n]}
+            else:
+                ks = range(1, n + 1) if any(j < n for j in self.rows) else (k,)
+                for j, built in zip(ks, products_by_sum(self.ints, ks)):
+                    self.rows.setdefault(j, built)
         return self.rows[k]
 
     def row_sum(self, k: int) -> tuple[int, int]:
@@ -315,6 +324,48 @@ def main_verdict(v: PositiveVector, k: int) -> int:
     if min(certificate.values()) < 0:
         return 0 if check_main(v, k).is_equality else 1
     return 1 if any(g for s, g in certificate.items() if s < total) else 0
+
+
+def main_slack_term(v: PositiveVector, k: int) -> tuple[int, int]:
+    """(N, D), unreduced with D > 0: N/D is an exact lower bound on the main
+    slack rhs_main(v, k) - lhs_main(v, k), the certificate term of one
+    k-subset. It costs O(k) integer operations on the form and no pass.
+
+    On the integer form b = v*L with B = sum(b), the proof writes the slack
+    as a sum over the k-subsets T, which `main_verdict` groups by sum:
+
+        rhs - lhs = sum_T (B - s_T) * G_T / (s_T * k^2 * B * L^(k-1)),
+        G_T = s_T * e_{k-1}(T) - k^2 * prod(T) = prod(T) * (s_T * sum(1/T) - k^2),
+
+    with s_T = sum(T). AM-HM gives s_T * sum(1/T) >= k^2, so G_T >= 0, and
+    B - s_T > 0 for k < n, since the n - k entries outside T are positive.
+    So every term is >= 0 and the term of any one T is at most the slack.
+    T here is the smallest entry of b with its k - 1 largest, a subset that
+    spans the entries' range. At k = 1 (G_T = 0) and at k = n (s_T = B) the
+    term is 0, as the slack is.
+    """
+    check_k(k, len(v))
+    form = _integer_form(v)
+    ints = sorted(form.ints)
+    subset = ints[:1] + ints[len(ints) - k + 1:]
+    prod, s, square, total = math.prod(subset), sum(subset), k * k, form.total
+    gap = s * sum(prod // t for t in subset) - square * prod
+    return (total - s) * gap, s * square * total * form.scale ** (k - 1)
+
+
+def main_slack_exceeds(v: PositiveVector, k: int, bound: Fraction) -> bool:
+    """Whether the main slack rhs_main(v, k) - lhs_main(v, k) is proved
+    strictly above bound, with neither side reduced. The term of one subset
+    (`main_slack_term`) is compared with bound first, exactly in integers,
+    and needs no pass; only a check it cannot clear asks the float floor
+    (`main_slack_floor`), which reads row k. False means not proved, not
+    that the slack is at most bound.
+    """
+    num, den = main_slack_term(v, k)
+    if num * bound.denominator > bound.numerator * den:
+        return True
+    floor = main_slack_floor(v, k)
+    return floor is not None and floor > bound
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from symineq.exact import InputError, PositiveVector, make_vector, render_scalar
-from symineq.inequality import lhs_main, main_slack_floor, main_verdict, rhs_main
+from symineq.inequality import lhs_main, main_slack_exceeds, main_verdict, rhs_main
 from symineq.symfun import moved_terms, subset_terms, symmetric_row
 
 # Coordinates never drop below this during projection: the bound's domain is
@@ -103,11 +103,12 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
 
     Each trial draws n uniformly from the sub-range of n_range that admits
     the k policy, samples one vector, and checks every selected k. The
-    first check of the run, and each check whose `main_slack_floor` is None
-    or not above the minimum slack so far, is reduced to rhs_main - lhs_main.
-    Any other check has a slack proved positive and above that minimum, so
-    it can neither be a violation nor replace the minimum, and it is only
-    counted. The minimum slack and its witness are tracked with a
+    first check of the run, and each check whose slack `main_slack_exceeds`
+    cannot prove above the minimum slack so far, is reduced to
+    rhs_main - lhs_main. That proof tries one subset's exact certificate
+    term before the float floor, which needs a subset-sum pass. Any other
+    check can neither be a violation nor replace the minimum, and it is
+    only counted. The minimum slack and its witness are tracked with a
     deterministic tie-break (slack, then witness entries lexicographically,
     then k), so identical seeds reproduce the report bit for bit. A negative
     slack counts as a violation and the run goes on, so a violation surfaces
@@ -142,12 +143,10 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
         v = distribution.sample(rng, n)
         for k in ks_at(n):
             checks += 1
-            if best is not None:
-                floor = main_slack_floor(v, k)
-                # a slack proved positive and above the minimum is neither a
-                # violation nor a new minimum, so it is never reduced
-                if floor is not None and floor > best[0]:
-                    continue
+            # a slack proved above the minimum is neither a violation nor a
+            # new minimum, so it is never reduced
+            if best is not None and main_slack_exceeds(v, k, best[0]):
+                continue
             slack = rhs_main(v, k) - lhs_main(v, k)
             if slack < 0:
                 violations += 1

@@ -828,10 +828,11 @@ def test_all_k_violation_keeps_the_lines_of_earlier_k(monkeypatch, capsys):
 
 def test_fuzz_with_violations_exits_2(monkeypatch, capsys):
     # deliberately inverted sides standing in for a falsified bound, and no
-    # floor, which would clear the checks its true sides prove positive
+    # proof of a slack above the minimum, whose certificate term and floor
+    # would clear the checks their true sides prove positive
     monkeypatch.setattr("symineq.search.lhs_main", lambda v, k: Fraction(3))
     monkeypatch.setattr("symineq.search.rhs_main", lambda v, k: Fraction(2))
-    monkeypatch.setattr("symineq.search.main_slack_floor", lambda v, k: None)
+    monkeypatch.setattr("symineq.search.main_slack_exceeds", lambda v, k, bound: False)
     code = main(["fuzz", "--n", "3..3", "--trials", "5", "--seed", "0"])
     captured = capsys.readouterr()
     assert code == 2

@@ -25,13 +25,19 @@ from symineq.inequality import (
     check_reciprocal_lemma,
     lhs_main,
     main_slack_floor,
+    main_slack_term,
     main_verdict,
     proof_identity,
     report_to_record,
     rhs_main,
 )
 from symineq.search import Distribution, FuzzReport, fuzz
-from symineq.symfun import elementary_symmetric, products_by_sum, symmetric_row
+from symineq.symfun import (
+    elementary_symmetric,
+    products_and_cofactors_by_sum,
+    products_by_sum,
+    symmetric_row,
+)
 
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
 vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
@@ -234,15 +240,37 @@ def counting_lhs_main(monkeypatch):
     return reduced
 
 
+def counting_term_clears(monkeypatch):
+    # how many checks the certificate term clears with no floor: each check
+    # after the first asks the term, and the floor only when the term fails
+    asked = []
+
+    def term(v, k):
+        asked.append(1)
+        return main_slack_term(v, k)
+
+    def floor(v, k):
+        asked.append(-1)
+        return main_slack_floor(v, k)
+    monkeypatch.setattr("symineq.inequality.main_slack_term", term)
+    monkeypatch.setattr("symineq.inequality.main_slack_floor", floor)
+    return lambda: sum(asked)
+
+
 def test_fuzz_reduces_every_slack_below_float_resolution(monkeypatch):
     # at eps = 10^-40 the interior slacks are about 10^-80 of the sides
     # (c(n, k) * eps^2), far below a float's resolution, so no floor is
-    # proved positive and every check is reduced exactly
+    # proved positive, and every check the exact certificate term cannot
+    # clear is reduced exactly
     reduced = counting_lhs_main(monkeypatch)
+    cleared = counting_term_clears(monkeypatch)
     args = ((3, 9), "interior", 30,
             Distribution("near-uniform", epsilon=Fraction(1, 10 ** 40)), 4)
     report = fuzz(*args)
-    assert len(reduced) == report.checks
+    for v, k in reduced:
+        assert main_slack_floor(v, k) is None
+    assert cleared() > 0
+    assert len(reduced) + cleared() == report.checks
     assert report == fuzz_oracle(*args)
     assert 0 < report.min_slack < Fraction(1, 10 ** 70)
 
@@ -250,16 +278,18 @@ def test_fuzz_reduces_every_slack_below_float_resolution(monkeypatch):
 @pytest.mark.parametrize("kind", ["integers", "rationals"])
 def test_fuzz_past_the_float_range_reduces_every_check(kind, monkeypatch):
     # entries up to 10^400 (fuzz --max-value 10**400): a row term P(s)/s
-    # overflows a float, so no floor is found and every check is reduced
-    # exactly, with the report of the oracle
+    # overflows a float, so no floor is found and every check the exact
+    # certificate term cannot clear is reduced exactly, with the report of
+    # the oracle
     reduced = counting_lhs_main(monkeypatch)
+    cleared = counting_term_clears(monkeypatch)
     args = (3, 6), "interior", 4, Distribution(kind, bound=10 ** 400), 8
     report = fuzz(*args)
     for v, k in reduced:
         with pytest.raises(OverflowError):
             [p / s for s, p in _integer_form(v).row(k).items()]
         assert main_slack_floor(v, k) is None
-    assert len(reduced) == report.checks
+    assert len(reduced) + cleared() == report.checks
     assert report == fuzz_oracle(*args)
 
 
@@ -397,19 +427,47 @@ def test_one_vector_runs_two_passes_and_the_memo_lets_it_go(monkeypatch):
 ])
 def test_fuzz_runs_a_pass_pruned_to_the_first_k_then_one_for_every_row(
         flags, ks_at, monkeypatch, capsys):
-    # a vector's first k gets a pass pruned to it, a second k one pass for
-    # every row, and rhs_main builds none; a single k holds one pruned row
+    # a check reads row k unless it is not the run's first and the
+    # certificate term clears it, and row n costs no pass; of a vector's
+    # rows read, the first gets a pass pruned to it and a second k one pass
+    # for every row, and rhs_main builds none. The term clears every later
+    # integer check here, and few near-uniform ones at eps = 10^-40.
+    epsilon = Fraction(1, 10 ** 40)
+    for distribution, options in [(Distribution("integers"), ()),
+                                  (Distribution("near-uniform", epsilon=epsilon),
+                                   ("--distribution", "near-uniform", "--epsilon",
+                                    str(epsilon)))]:
+        built = []
+        monkeypatch.setattr("symineq.inequality.products_by_sum", counting(built))
+        assert main(["fuzz", "--n", "3..6", "--trials", "12", "--seed", "5", *flags,
+                     *options]) == 0
+        rng, expected, minimum = random.Random(5), [], None
+        for _ in range(12):
+            n = rng.randint(3, 6)
+            v = distribution.sample(rng, n)
+            read = []
+            for k in ks_at(n):
+                if k < n and (minimum is None or not term_oracle(v, k) > minimum):
+                    read.append(k)
+                slack = rhs_oracle(v, k) - lhs_oracle(v, k)
+                minimum = slack if minimum is None else min(minimum, slack)
+            expected += [(k,) if i == 0 else tuple(range(1, n + 1))
+                         for i, k in enumerate(read[:2])]
+        assert built == expected
+        assert "violations: 0" in capsys.readouterr().out
+    # the near-uniform run reads a second k of some vector at 1 < k < n only:
+    # with k = 1 checked, its slack of 0 is the minimum from the first
+    # vector on, and the term clears every check of 1 < k < n
+    assert any(len(ks) > 1 for ks in built) == (flags == ("--exclude-boundary",))
+
+
+def test_fuzz_clears_the_benchmarks_n_12_checks_without_a_pass_for_every_row(monkeypatch):
+    # one every-row pass per vector before the certificate term, none with it
     built = []
     monkeypatch.setattr("symineq.inequality.products_by_sum", counting(built))
-    assert main(["fuzz", "--n", "3..6", "--trials", "12", "--seed", "5", *flags]) == 0
-    rng, expected = random.Random(5), []
-    for _ in range(12):
-        n = rng.randint(3, 6)
-        Distribution("integers").sample(rng, n)
-        ks = ks_at(n)
-        expected += [(ks[0],)] + ([tuple(range(1, n + 1))] if len(ks) > 1 else [])
-    assert built == expected
-    assert "violations: 0" in capsys.readouterr().out
+    assert main(["fuzz", "--n", "12..12", "--exclude-boundary", "--trials", "16",
+                 "--seed", "42"]) == 0
+    assert built and all(len(ks) == 1 for ks in built)
 
 
 def test_check_prints_the_first_k_before_the_pass_for_every_row(monkeypatch, capsys):
@@ -463,9 +521,9 @@ def test_one_vectors_requests_in_any_order_match_their_oracles_in_two_passes(v, 
             else:
                 expected = identity_oracle(u, k)
                 assert proof_identity(u, k) == (expected, expected)
-    # rhs_main builds no row; the first k read gets a pruned pass, and any
-    # other k one pass over every k
-    read = [k for reader, k in requests if reader != "rhs_main"]
+    # rhs_main and row n build no row; the first other k read gets a pruned
+    # pass, and any other k one pass over every k
+    read = [k for reader, k in requests if reader != "rhs_main" and k < n]
     expected = [(read[0],)] if read else []
     if any(k != read[0] for k in read):
         expected.append(tuple(range(1, n + 1)))
@@ -563,6 +621,38 @@ def test_verdict_is_the_sign_of_the_exact_slack(v, data):
     slack = check_main(v, k).slack
     assert main_verdict(v, k) == (1 if slack > 0 else 0)
     assert (main_verdict(v, k) >= 0) == (slack >= 0)
+
+
+def term_oracle(v, k):
+    # the certificate term of T, the smallest entry with the k - 1 largest,
+    # on v itself: (sum(v) - sum(T)) * G_T / (sum(T) * k^2 * sum(v)) with
+    # G_T = prod(T) * (sum(T) * sum(1/T) - k^2), in Fractions
+    entries = sorted(v)
+    T = entries[:1] + entries[len(entries) - k + 1:]
+    gap = math.prod(T) * (sum(T) * sum(1 / a for a in T) - k * k)
+    return (sum(v) - sum(T)) * gap / (sum(T) * k * k * sum(v))
+
+
+huge = st.integers(min_value=1, max_value=10 ** 400)
+huge_vectors = st.lists(st.one_of(huge, st.builds(Fraction, huge, huge)),
+                        min_size=1, max_size=6).map(make_vector)
+
+
+@settings(deadline=None)  # the oracle enumerates up to 255 subsets of wide entries
+@given(st.one_of(vectors, wide_vectors, near_uniform_vectors, huge_vectors), st.data())
+def test_slack_term_is_its_subsets_term_and_a_lower_bound(v, data):
+    # on a fresh object, so the term builds its own form, and with no pass
+    k = data.draw(st.integers(min_value=1, max_value=len(v)))
+    with pytest.MonkeyPatch.context() as patch:
+        forbid(patch, products_by_sum, products_and_cofactors_by_sum)
+        num, den = main_slack_term(make_vector(list(v)), k)
+    assert den > 0
+    term = Fraction(num, den)
+    assert term == term_oracle(v, k)
+    assert 0 <= term <= rhs_oracle(v, k) - lhs_oracle(v, k)
+    # T holds the smallest and the largest entry, so AM-HM is strict on it
+    # whenever the slack can be positive
+    assert (term > 0) == (1 < k < len(v) and min(v) < max(v))
 
 
 def test_verdict_frozen():

@@ -202,10 +202,11 @@ def test_fuzz_policy_validation():
 
 def test_fuzz_counts_violations_and_keeps_negative_min_slack(monkeypatch):
     # deliberately inverted sides standing in for a falsified bound, and no
-    # floor, which would clear the checks its true sides prove positive
+    # proof of a slack above the minimum, whose certificate term and floor
+    # would clear the checks their true sides prove positive
     monkeypatch.setattr("symineq.search.lhs_main", lambda v, k: Fraction(2))
     monkeypatch.setattr("symineq.search.rhs_main", lambda v, k: Fraction(1))
-    monkeypatch.setattr("symineq.search.main_slack_floor", lambda v, k: None)
+    monkeypatch.setattr("symineq.search.main_slack_exceeds", lambda v, k, bound: False)
     report = fuzz((3, 3), 2, 25, Distribution("integers", bound=5), seed=0)
     assert report.violations == 25
     assert report.min_slack == -1
