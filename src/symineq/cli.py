@@ -75,6 +75,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
 
+    # argparse reads only -N and -N.N as values, so `--values -1/2` would end
+    # in "expected one argument". No flag here starts with - and a digit, so
+    # every argument that does, or with -. and a digit, is a value.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?[0-9]")
+
     # argparse drops a `--` from an option's value strings, so CPython 3.11
     # stores `--values=--` as an empty list that no type or choice checks;
     # a single-value option given only `--` has no value.

@@ -12,7 +12,8 @@ What each public function decides:
 - `main_verdict`: the sign of that slack alone, with neither side reduced.
 - `main_slack_term`: an exact lower bound on that slack, one subset's term
   of the proof's certificate, read with no subset-sum pass.
-- `main_slack_floor`: a float proved to lie below that slack, or None.
+- `main_slack_floor`: an exact lower bound on that slack, row k's sum with
+  each quotient floored.
 - `main_slack_exceeds`: whether that slack is proved above a given value,
   by the term and then the floor.
 - `check_reciprocal_lemma`, `check_pairwise_lemma`: the supporting bounds.
@@ -20,23 +21,21 @@ What each public function decides:
   behind the proof.
 - `report_to_record`: a report's flat record of canonical strings.
 
-Every verdict is exact, and `main_slack_floor` is the only float, under a
-proved error bound. Each check reads the vector's integer form
-(`_IntegerForm`). A negative slack raises `Violation` with its exact
-witness, never returned in a report; an argument outside a statement's
-domain raises `InputError`.
+Every verdict and bound is exact, with no float anywhere. Each check reads
+the vector's integer form (`_IntegerForm`). A negative slack raises
+`Violation` with its exact witness, never returned in a report; an argument
+outside a statement's domain raises `InputError`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, repeat
-from operator import floordiv, mul, truediv
-from typing import NamedTuple, Optional, Sequence
+from operator import floordiv, lshift, mul
+from typing import NamedTuple, Sequence
 
 from symineq.exact import InputError, PositiveVector, _shown, render_scalar
 from symineq.symfun import (
@@ -244,49 +243,33 @@ def rhs_main(v: PositiveVector, k: int) -> Fraction:
     return Fraction(n * form.e[k], k * form.scale ** (k - 1) * form.total)
 
 
-# 1/u for the unit roundoff u = 2**-53 of a double
-_INVERSE_ROUNDOFF = 2 ** sys.float_info.mant_dig
-
-
-def main_slack_floor(v: PositiveVector, k: int) -> Optional[float]:
-    """A positive float proved to lie strictly below the main slack
-    rhs_main(v, k) - lhs_main(v, k), or None where the bound below cannot
-    show the slack positive. It reads the form's row k and e row and
-    reduces nothing.
+def main_slack_floor(v: PositiveVector, k: int) -> tuple[int, int]:
+    """(N, D), unreduced with D > 0: N/D is strictly below the main slack
+    rhs_main(v, k) - lhs_main(v, k), and within 2**-64 * lhs_main(v, k) of
+    it. It reads the form's row k and e row and reduces nothing; N may be
+    negative.
 
     On the integer form, L^(k-1) * slack = Y - X with Y = n*e_k(b)/(k*B)
-    and X = sum_s x_s, x_s = P(s)/s over the m sums s of row k. In floats,
-    R = fl(Y) and each t_s = fl(x_s) are int / int divisions, which CPython
-    rounds correctly, and S = fsum(t_s) is the correctly rounded sum or,
-    where the C library double-rounds, one ulp off it. Let u = 2**-53 and
-    tiny = 2**-1022, the least normal float. A correctly rounded t_s is off
-    by at most u*t_s when normal and tiny*u below that, so
-    X <= (1+u)*sum t_s + m*tiny*u. With R >= tiny and S >= m*tiny (so S is
-    normal): Y >= R/(1+u) >= R*(1-u), sum t_s <= S + ulp(S) <= S*(1+2u) and
-    m*tiny*u <= S*u, so X <= S*((1+u)*(1+2u) + u) <= S*(1+5u). Hence
+    and X = sum_s P(s)/s over the m sums s of row k. Each quotient is
+    floored to a multiple of 2**-w, T = sum_s floor(P(s) * 2**w / s), and
+    floor(x) > x - 1 gives 2**w * X < T + m. So
 
-        slack >= (R*(1-u) - S*(1+5u)) / L^(k-1),
+        slack > (n*e_k * 2**w - k*B * (T + m)) / (k*B * L^(k-1) * 2**w).
 
-    a rational evaluated exactly from the integer ratios of R and S and
-    rounded once, by one int / int division. The rounded quotient is within
-    half a float step of that bound, so the float one step towards -inf is
-    strictly below it. None also when a division or the sum overflows, or
-    R or S is below its least value above.
+    As X >= e_k / max(s), w is picked from bit lengths so that
+    2**w * X > 2**64 * m, which keeps the loss below 2**-64 * lhs. On a wide
+    row w is negative, and each quotient is a small floor(P(s) / (s*2**-w)).
     """
     form = _integer_form(v)
-    row = form.row(k)
-    try:
-        lhs = math.fsum(map(truediv, row.values(), row))
-        rhs = len(form.ints) * form.e[k] / (k * form.total)
-        if lhs < len(row) * sys.float_info.min or rhs < sys.float_info.min:
-            return None
-        (rn, rd), (ln, ld) = rhs.as_integer_ratio(), lhs.as_integer_ratio()
-        num = rn * ld * (_INVERSE_ROUNDOFF - 1) - ln * rd * (_INVERSE_ROUNDOFF + 5)
-        den = rd * ld * _INVERSE_ROUNDOFF * form.scale ** (k - 1)
-        floor = math.nextafter(num / den, -math.inf)
-    except OverflowError:
-        return None
-    return floor if floor > 0 else None
+    row, e_k = form.row(k), form.e[k]
+    m = len(row)
+    w = 65 + m.bit_length() + max(row).bit_length() - e_k.bit_length()
+    up, down = max(w, 0), max(-w, 0)
+    floors = sum(map(floordiv, map(lshift, row.values(), repeat(up)),
+                     map(lshift, row, repeat(down))))
+    kb = k * form.total
+    return (((len(form.ints) * e_k) << up) - ((kb * (floors + m)) << down),
+            (kb * form.scale ** (k - 1)) << up)
 
 
 def check_main(v: PositiveVector, k: int) -> InequalityReport:
@@ -355,17 +338,15 @@ def main_slack_term(v: PositiveVector, k: int) -> tuple[int, int]:
 
 def main_slack_exceeds(v: PositiveVector, k: int, bound: Fraction) -> bool:
     """Whether the main slack rhs_main(v, k) - lhs_main(v, k) is proved
-    strictly above bound, with neither side reduced. The term of one subset
-    (`main_slack_term`) is compared with bound first, exactly in integers,
-    and needs no pass; only a check it cannot clear asks the float floor
+    strictly above bound, with neither side reduced. Two exact lower bounds
+    are compared with bound in integers, in turn: the term of one subset
+    (`main_slack_term`), which needs no pass, and then the floored row sum
     (`main_slack_floor`), which reads row k. False means not proved, not
     that the slack is at most bound.
     """
-    num, den = main_slack_term(v, k)
-    if num * bound.denominator > bound.numerator * den:
-        return True
-    floor = main_slack_floor(v, k)
-    return floor is not None and floor > bound
+    p, q = bound.numerator, bound.denominator
+    return any(num * q > p * den for num, den in
+               (lower(v, k) for lower in (main_slack_term, main_slack_floor)))
 
 
 # --------------------------------------------------------------------------

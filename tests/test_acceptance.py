@@ -131,8 +131,11 @@ def test_criterion_5_oracle_equivalence(announce):
         for k in range(1, n + 1):
             for _ in range(100):
                 v = rational_vector(rng, n, 6)
-                brute = sum(math.prod(v[i] for i in s)
-                            for s in combinations(range(n), k))
+                # every subset in integers: the entries times the lcm L of
+                # their denominators, with one division by L^k
+                scale = math.lcm(*(a.denominator for a in v))
+                ints = [a.numerator * (scale // a.denominator) for a in v]
+                brute = Fraction(sum(map(math.prod, combinations(ints, k))), scale ** k)
                 total += 1
                 if elementary_symmetric(v, k) == brute:
                     agreements += 1

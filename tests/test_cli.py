@@ -451,6 +451,32 @@ def test_usage_errors_exit_1():
                 f"symineq: error: argument {flag}: expected one argument\n", args
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (("check", "--k", "1"), "--values", "-1/2"),
+    (("check", "--k", "1"), "--values", "-1,2"),
+    (("check", "--k", "1"), "--values", "-1"),
+    (("check", "--k", "1"), "--values", "-.5"),
+    (("identity", "--k", "1"), "--values", "-2 3"),
+    (("lemma", "--which", "pairwise"), "--values", "-1/2,3"),
+    (("fuzz", "--distribution", "near-uniform"), "--epsilon", "-1/2"),
+    (("fuzz",), "--n", "-3..5"),
+])
+def test_a_value_that_starts_with_a_minus_and_a_digit_is_read_as_with_an_equals_sign(
+        command, flag, value, capsys):
+    # argparse alone reads only -N and -N.N as values; any other argument
+    # that starts with - and a digit is a value too, so it is refused by the
+    # rule it breaks, as its --flag=value form is, and not for a missing one
+    results = []
+    for argv in ([*command, flag, value], [*command, f"{flag}={value}"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (1, "")
+    assert err.startswith("symineq: error:") and "expected one argument" not in err
+
+
 def test_oversized_and_undecodable_inputs_end_in_one_error_line(tmp_path):
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(b"1 2 \xff\n")

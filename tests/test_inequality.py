@@ -59,6 +59,13 @@ near_uniform_vectors = st.tuples(
     st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=8),
     entry, st.integers(min_value=1000, max_value=10 ** 9)).map(
     lambda t: make_vector([t[1] + Fraction(d, t[2]) for d in t[0]]))
+huge = st.integers(min_value=1, max_value=10 ** 400)
+huge_vectors = st.lists(st.one_of(huge, st.builds(Fraction, huge, huge)),
+                        min_size=1, max_size=6).map(make_vector)
+# six-digit numerators over denominators near 10^400
+tiny_vectors = st.lists(
+    st.builds(Fraction, six_digits, st.integers(min_value=10 ** 399, max_value=10 ** 400)),
+    min_size=1, max_size=6).map(make_vector)
 
 
 def lhs_oracle(v, k):
@@ -222,11 +229,15 @@ def test_fuzz_report_equals_its_brute_force_oracle(distribution, hi, data):
 
 
 @settings(deadline=None)  # the oracle enumerates up to 255 subsets of wide entries
-@given(st.one_of(vectors, wide_vectors, near_uniform_vectors), st.data())
-def test_main_slack_floor_is_positive_and_below_the_exact_slack(v, data):
+@given(st.one_of(vectors, wide_vectors, near_uniform_vectors, huge_vectors, tiny_vectors),
+       st.data())
+def test_main_slack_floor_is_below_the_exact_slack_by_under_2_to_the_minus_63_of_lhs(v, data):
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    floor = main_slack_floor(v, k)
-    assert floor is None or 0 < floor < rhs_oracle(v, k) - lhs_oracle(v, k)
+    num, den = main_slack_floor(v, k)
+    assert den > 0
+    lhs = lhs_oracle(v, k)
+    slack = rhs_oracle(v, k) - lhs
+    assert slack - lhs / 2 ** 63 < Fraction(num, den) < slack
 
 
 def counting_lhs_main(monkeypatch):
@@ -259,16 +270,16 @@ def counting_term_clears(monkeypatch):
 
 def test_fuzz_reduces_every_slack_below_float_resolution(monkeypatch):
     # at eps = 10^-40 the interior slacks are about 10^-80 of the sides
-    # (c(n, k) * eps^2), far below a float's resolution, so no floor is
-    # proved positive, and every check the exact certificate term cannot
-    # clear is reduced exactly
+    # (c(n, k) * eps^2), far below the floor's 2^-64 resolution, so no floor
+    # is positive, and every check the exact certificate term cannot clear
+    # is reduced exactly
     reduced = counting_lhs_main(monkeypatch)
     cleared = counting_term_clears(monkeypatch)
     args = ((3, 9), "interior", 30,
             Distribution("near-uniform", epsilon=Fraction(1, 10 ** 40)), 4)
     report = fuzz(*args)
     for v, k in reduced:
-        assert main_slack_floor(v, k) is None
+        assert main_slack_floor(v, k)[0] < 0
     assert cleared() > 0
     assert len(reduced) + cleared() == report.checks
     assert report == fuzz_oracle(*args)
@@ -276,11 +287,10 @@ def test_fuzz_reduces_every_slack_below_float_resolution(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["integers", "rationals"])
-def test_fuzz_past_the_float_range_reduces_every_check(kind, monkeypatch):
+def test_fuzz_past_the_float_range_clears_checks_with_the_floor(kind, monkeypatch):
     # entries up to 10^400 (fuzz --max-value 10**400): a row term P(s)/s
-    # overflows a float, so no floor is found and every check the exact
-    # certificate term cannot clear is reduced exactly, with the report of
-    # the oracle
+    # overflows a float, but the floor is exact at any size, so it clears
+    # checks the certificate term cannot, and the report is the oracle's
     reduced = counting_lhs_main(monkeypatch)
     cleared = counting_term_clears(monkeypatch)
     args = (3, 6), "interior", 4, Distribution(kind, bound=10 ** 400), 8
@@ -288,14 +298,14 @@ def test_fuzz_past_the_float_range_reduces_every_check(kind, monkeypatch):
     for v, k in reduced:
         with pytest.raises(OverflowError):
             [p / s for s, p in _integer_form(v).row(k).items()]
-        assert main_slack_floor(v, k) is None
-    assert len(reduced) + cleared() == report.checks
+    # a check neither reduced nor cleared by the term was cleared by the floor
+    assert len(reduced) + cleared() < report.checks
     assert report == fuzz_oracle(*args)
 
 
 def test_fuzz_on_rationals_reduces_few_checks(monkeypatch):
-    # the slacks of ordinary rationals are far above float resolution, so
-    # after the first check almost every floor clears its check
+    # the slacks of ordinary rationals are far above the floor's resolution,
+    # so after the first check almost every check is cleared unreduced
     reduced = counting_lhs_main(monkeypatch)
     report = fuzz((12, 16), "interior", 20, Distribution("rationals"), 0)
     assert report.checks == 245
@@ -631,11 +641,6 @@ def term_oracle(v, k):
     T = entries[:1] + entries[len(entries) - k + 1:]
     gap = math.prod(T) * (sum(T) * sum(1 / a for a in T) - k * k)
     return (sum(v) - sum(T)) * gap / (sum(T) * k * k * sum(v))
-
-
-huge = st.integers(min_value=1, max_value=10 ** 400)
-huge_vectors = st.lists(st.one_of(huge, st.builds(Fraction, huge, huge)),
-                        min_size=1, max_size=6).map(make_vector)
 
 
 @settings(deadline=None)  # the oracle enumerates up to 255 subsets of wide entries
