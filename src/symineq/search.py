@@ -108,11 +108,12 @@ def fuzz(n_range: tuple[int, int], k_policy: KPolicy, trials: int,
     rhs_main - lhs_main. That proof tries one subset's exact certificate
     term before the floored row sum, also exact, which needs a subset-sum
     pass. Any other check can neither be a violation nor replace the
-    minimum, and it is only counted. The minimum slack and its witness are tracked with a
-    deterministic tie-break (slack, then witness entries lexicographically,
-    then k), so identical seeds reproduce the report bit for bit. A negative
-    slack counts as a violation and the run goes on, so a violation surfaces
-    as a negative min_slack with its exact witness attached.
+    minimum, and it is only counted. The minimum slack and its witness are
+    tracked with a deterministic tie-break (slack, then witness entries
+    lexicographically, then k), so identical seeds reproduce the report bit
+    for bit. A negative slack counts as a violation and the run goes on, so
+    a violation surfaces as a negative min_slack with its exact witness
+    attached.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:
