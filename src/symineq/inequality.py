@@ -9,13 +9,14 @@ What each public function decides:
 
 - `lhs_main`, `rhs_main`: the bound's two sides; `check_main` reports them
   with the slack rhs - lhs and whether it is an equality.
-- `main_verdict`: the sign of that slack alone, with neither side reduced.
 - `main_slack_term`: an exact lower bound on that slack, one subset's term
   of the proof's certificate, read with no subset-sum pass.
 - `main_slack_floor`: an exact lower bound on that slack, row k's sum with
   each quotient floored.
 - `main_slack_exceeds`: whether that slack is proved above a given value,
   by the term and then the floor.
+- `main_verdict`: the sign of that slack: 1 once it is proved above 0,
+  else read off `check_main`.
 - `check_reciprocal_lemma`, `check_pairwise_lemma`: the supporting bounds.
 - `proof_identity`, `check_proof_identity`: the rearrangement identity
   behind the proof.
@@ -38,12 +39,7 @@ from operator import floordiv, lshift, mul
 from typing import NamedTuple, Sequence
 
 from symineq.exact import InputError, PositiveVector, _shown, render_scalar
-from symineq.symfun import (
-    check_k,
-    products_and_cofactors_by_sum,
-    products_by_sum,
-    symmetric_row,
-)
+from symineq.symfun import check_k, products_by_sum, symmetric_row
 
 
 class Statement(Enum):
@@ -282,40 +278,13 @@ def check_main(v: PositiveVector, k: int) -> InequalityReport:
     return _report(Statement.MAIN_THEOREM, v, k, lhs_main(v, k), rhs_main(v, k))
 
 
-def _certificate(ints: Sequence[int], k: int) -> dict[int, int]:
-    """G(s) = s*E(s) - k^2*P(s) for each k-subset sum s of the integers
-    (`products_and_cofactors_by_sum`): the group total of
-    G_T = sum(T)*e_{k-1}(T) - k^2*prod(T) = prod(T)*(sum(T)*sum(1/T) - k^2),
-    which AM-HM makes >= 0 on every k-subset T."""
-    square = k * k
-    return {s: s * e - square * p
-            for s, (p, e) in products_and_cofactors_by_sum(ints, k).items()}
-
-
-def main_verdict(v: PositiveVector, k: int) -> int:
-    """The sign of check_main(v, k).slack: 1, or 0 at equality.
-
-    On the integer form b = v*L with B = sum(b), the proof gives
-    rhs - lhs = sum_s (B - s) * G(s)/s / (k^2 * B * L^(k-1)) (`_certificate`),
-    every G(s) an integer >= 0; so the slack is 0 exactly when G(s) = 0 at
-    every s < B, and no side is reduced. A negative G(s) would be a bug: the
-    verdict then falls back on `check_main`, which raises Violation if the
-    exact lhs exceeds rhs.
-    """
-    form = _integer_form(v)
-    total, certificate = form.total, _certificate(form.ints, k)
-    if min(certificate.values()) < 0:
-        return 0 if check_main(v, k).is_equality else 1
-    return 1 if any(g for s, g in certificate.items() if s < total) else 0
-
-
 def main_slack_term(v: PositiveVector, k: int) -> tuple[int, int]:
     """(N, D), unreduced with D > 0: N/D is an exact lower bound on the main
     slack rhs_main(v, k) - lhs_main(v, k), the certificate term of one
     k-subset. It costs O(k) integer operations on the form and no pass.
 
     On the integer form b = v*L with B = sum(b), the proof writes the slack
-    as a sum over the k-subsets T, which `main_verdict` groups by sum:
+    as a sum over the k-subsets T:
 
         rhs - lhs = sum_T (B - s_T) * G_T / (s_T * k^2 * B * L^(k-1)),
         G_T = s_T * e_{k-1}(T) - k^2 * prod(T) = prod(T) * (s_T * sum(1/T) - k^2),
@@ -347,6 +316,20 @@ def main_slack_exceeds(v: PositiveVector, k: int, bound: Fraction) -> bool:
     p, q = bound.numerator, bound.denominator
     return any(num * q > p * den for num, den in
                (lower(v, k) for lower in (main_slack_term, main_slack_floor)))
+
+
+def main_verdict(v: PositiveVector, k: int) -> int:
+    """The sign of check_main(v, k).slack: 1, or 0 at equality.
+
+    A slack proved above 0 (`main_slack_exceeds`) is 1 with neither side
+    reduced; one subset's term proves it on every vector that is not
+    uniform, at 1 < k < n, with no pass. Otherwise the verdict is read off
+    `check_main`, which reduces both sides and raises Violation if the exact
+    lhs exceeds rhs.
+    """
+    if main_slack_exceeds(v, k, Fraction(0)):
+        return 1
+    return 0 if check_main(v, k).is_equality else 1
 
 
 # --------------------------------------------------------------------------

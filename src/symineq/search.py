@@ -262,8 +262,9 @@ def maximize_ratio(n: int, k: int, *, seed: int = 0, step_size: float = 0.25,
     gradient fell below the tolerance or no float-resolvable ascent step
     remains. The final point is rationalized coordinate-by-coordinate
     (exact binary value of each float) and re-certified exactly by
-    `main_verdict`; an exact ratio above 1 would falsify the bound and
-    raises Violation.
+    `main_verdict`, which proves the slack positive by one subset's term
+    and reduces the sides only at a uniform point; an exact ratio above 1
+    would falsify the bound and raises Violation.
     """
     if not 1 < k < n:
         raise InputError(f"maximization needs 1 < k < n, got k={k} n={n}")

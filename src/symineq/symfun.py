@@ -6,8 +6,7 @@ by subset sum, and subset terms over shared prefixes.
 - `elementary_symmetric`: e_k alone. Nothing in `src/` calls it; it stays
   only as a span target of the benchmark's tracer, until that span moves.
 - `products_by_sum`: the exact subset products totalled by subset sum, for
-  the main bound's left side; `products_and_cofactors_by_sum` adds each
-  sum's total of e_{k-1}, for the certificate of `inequality.main_verdict`.
+  the main bound's left side.
 - `subset_terms`, `moved_terms`: the float objective's terms prod(S)/sum(S)
   at a point, and at that point with one entry moved.
 - `check_k`: the rule 0 < k <= n.
@@ -178,30 +177,3 @@ def products_by_sum(ints: Sequence[int], ks: Sequence[int]) -> list[dict[int, in
         if need > 0:
             rows[need - 1] = {}  # it fed row `need` for the last time
     return [rows[k] for k in ks]
-
-
-def products_and_cofactors_by_sum(ints: Sequence[int], k: int) -> dict[int, tuple[int, int]]:
-    """Map each k-subset sum s to (P(s), E(s)): the totals of prod(T) and of
-    e_{k-1}(T) over the k-subsets T with sum(T) = s.
-
-    The second form of `products_by_sum`, for one k. Adding b to a subset T'
-    gives prod(T' + b) = b * prod(T') and e_j(T' + b) = e_j(T') + b * e_{j-1}(T'),
-    where e_j(T') is prod(T') for j = |T'|; so each row carries (P, E) with
-    P += b * P' and E += b * E' + P', seeded with (1, 0) for the empty subset.
-    It is a loop of its own so that `products_by_sum`, behind every exact
-    check of the main bound, keeps one product per sum.
-    """
-    n = len(ints)
-    check_k(k, n)
-    rows = [{0: (1, 0)}] + [{} for _ in range(k)]
-    for m, b in enumerate(ints, start=1):
-        need = k - (n - m)  # the lowest row that can still reach row k
-        for j in range(min(m, k), max(need, 1) - 1, -1):
-            dst = rows[j]
-            for s, (p, e) in rows[j - 1].items():
-                s += b
-                q, r = dst.get(s, (0, 0))
-                dst[s] = (q + p * b, r + e * b + p)
-        if need > 0:
-            rows[need - 1] = {}  # it fed row `need` for the last time
-    return rows[k]

@@ -15,7 +15,6 @@ from symineq.inequality import (
     InequalityReport,
     Statement,
     Violation,
-    _certificate,
     _integer_form,
     _sum_over_sums,
     _superset_groups,
@@ -32,12 +31,7 @@ from symineq.inequality import (
     rhs_main,
 )
 from symineq.search import Distribution, FuzzReport, fuzz
-from symineq.symfun import (
-    elementary_symmetric,
-    products_and_cofactors_by_sum,
-    products_by_sum,
-    symmetric_row,
-)
+from symineq.symfun import elementary_symmetric, products_by_sum, symmetric_row
 
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
 vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
@@ -607,21 +601,14 @@ def certificate_oracle(ints, k):
 
 @settings(deadline=None)  # the oracle enumerates up to 924 subsets per example
 @given(certificate_vectors, st.data())
-def test_certificate_is_its_brute_force_group_total(v, data):
-    k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    ints = _integer_form(v).ints
-    certificate = _certificate(ints, k)
-    assert certificate == certificate_oracle(ints, k)
-    assert all(type(g) is int and g >= 0 for g in certificate.values())
-
-
-@given(certificate_vectors, st.data())
 def test_certificate_sums_to_the_exact_slack(v, data):
-    # rhs - lhs = sum_s (B - s) * G(s)/s / (k^2 * B * L^(k-1))
+    # rhs - lhs = sum_s (B - s) * G(s)/s / (k^2 * B * L^(k-1)), the identity
+    # that main_slack_term reads one subset of
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
     form = _integer_form(v)
     total = form.total
-    weighted = sum(Fraction((total - s) * g, s) for s, g in _certificate(form.ints, k).items())
+    certificate = certificate_oracle(form.ints, k)
+    weighted = sum(Fraction((total - s) * g, s) for s, g in certificate.items())
     assert weighted / (k * k * total * form.scale ** (k - 1)) == check_main(v, k).slack
 
 
@@ -649,7 +636,7 @@ def test_slack_term_is_its_subsets_term_and_a_lower_bound(v, data):
     # on a fresh object, so the term builds its own form, and with no pass
     k = data.draw(st.integers(min_value=1, max_value=len(v)))
     with pytest.MonkeyPatch.context() as patch:
-        forbid(patch, products_by_sum, products_and_cofactors_by_sum)
+        forbid(patch, products_by_sum)
         num, den = main_slack_term(make_vector(list(v)), k)
     assert den > 0
     term = Fraction(num, den)
@@ -669,11 +656,25 @@ def test_verdict_frozen():
         main_verdict(make_vector([1, 2, 3]), 4)
 
 
-def test_verdict_falls_back_on_the_exact_sides_if_a_gap_is_negative(monkeypatch):
-    # AM-HM makes every G(s) >= 0; a negative one is a bug, and the verdict
-    # is then read off the reduced sides. Without the fallback, the nonzero
-    # gap at s = 1 < B would read as a strict slack at the uniform point.
-    monkeypatch.setattr("symineq.inequality._certificate", lambda ints, k: {1: -1})
+@settings(deadline=None)  # at k in {1, n} and on uniform vectors the sides are reduced
+@given(st.one_of(vectors, wide_vectors, huge_vectors, uniform_vectors), st.data())
+def test_verdict_needs_no_pass_off_a_uniform_point(v, data):
+    # on a fresh object, so the verdict builds its own form: one subset's
+    # term proves the slack positive wherever it can be, with no pass
+    k = data.draw(st.integers(min_value=1, max_value=len(v)))
+    fresh = make_vector(list(v))
+    if 1 < k < len(v) and min(v) < max(v):
+        with pytest.MonkeyPatch.context() as patch:
+            forbid(patch, products_by_sum)
+            assert main_verdict(fresh, k) == 1
+    else:
+        assert main_verdict(fresh, k) == 0
+
+
+def test_verdict_falls_back_on_the_exact_sides_if_no_bound_clears(monkeypatch):
+    # with neither lower bound proving the slack positive, the verdict is
+    # read off the reduced sides, which raise Violation if lhs exceeds rhs
+    monkeypatch.setattr("symineq.inequality.main_slack_exceeds", lambda v, k, bound: False)
     assert main_verdict(make_vector([1, 2, 3]), 2) == 1
     assert main_verdict(make_vector([2, 2, 2]), 2) == 0
     monkeypatch.setattr("symineq.inequality.lhs_main", lambda v, k: Fraction(10))

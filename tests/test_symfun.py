@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from symineq.exact import InputError, make_vector
 from symineq.symfun import (
     elementary_symmetric,
-    products_and_cofactors_by_sum,
     products_by_sum,
     subset_terms,
     symmetric_row,
@@ -191,33 +190,3 @@ def test_products_by_sum_frozen():
         products_by_sum([1, 2], (3,))
     with pytest.raises(InputError):
         products_by_sum([1, 2], (1, 0))
-
-
-def cofactors_by_sum_brute(ints, k):
-    # independent oracle: explicit k-subsets, grouped by their sum, with
-    # e_{k-1} as the sum of the products that leave one entry out
-    grouped = {}
-    for T in combinations(ints, k):
-        p, e = grouped.get(sum(T), (0, 0))
-        grouped[sum(T)] = (p + math.prod(T),
-                           e + sum(math.prod(T[:i] + T[i + 1:]) for i in range(k)))
-    return grouped
-
-
-@settings(deadline=None)  # the oracle enumerates up to 4095 subsets per example
-@given(st.one_of(colliding_ints, wide_ints), st.data())
-def test_products_and_cofactors_by_sum_match_a_brute_force_grouping(ints, data):
-    k = data.draw(st.integers(min_value=1, max_value=len(ints)))
-    row = products_and_cofactors_by_sum(ints, k)
-    assert row == cofactors_by_sum_brute(ints, k)
-    assert {s: p for s, (p, _) in row.items()} == products_by_sum(ints, (k,))[0]
-
-
-def test_products_and_cofactors_by_sum_frozen():
-    # 2-subsets of (1, 2, 3, 4): sums 3, 4, 5, 5, 6, 7; e_1 of each is its sum
-    assert products_and_cofactors_by_sum([1, 2, 3, 4], 2) == \
-        {3: (2, 3), 4: (3, 4), 5: (4 + 6, 5 + 5), 6: (8, 6), 7: (12, 7)}
-    assert products_and_cofactors_by_sum([2, 3, 4], 3) == {9: (24, 6 + 8 + 12)}
-    assert products_and_cofactors_by_sum([5], 1) == {5: (5, 1)}
-    with pytest.raises(InputError):
-        products_and_cofactors_by_sum([1, 2], 3)
