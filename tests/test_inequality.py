@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from symineq.cli import main
 from symineq.exact import InputError, make_vector, parse_scalar
@@ -656,19 +656,39 @@ def test_verdict_frozen():
         main_verdict(make_vector([1, 2, 3]), 4)
 
 
-@settings(deadline=None)  # at k in {1, n} and on uniform vectors the sides are reduced
-@given(st.one_of(vectors, wide_vectors, huge_vectors, uniform_vectors), st.data())
+@settings(deadline=None)  # huge entries make long integer forms
+@given(st.one_of(vectors, wide_vectors, huge_vectors), st.data())
 def test_verdict_needs_no_pass_off_a_uniform_point(v, data):
     # on a fresh object, so the verdict builds its own form: one subset's
-    # term proves the slack positive wherever it can be, with no pass
-    k = data.draw(st.integers(min_value=1, max_value=len(v)))
-    fresh = make_vector(list(v))
-    if 1 < k < len(v) and min(v) < max(v):
-        with pytest.MonkeyPatch.context() as patch:
-            forbid(patch, products_by_sum)
-            assert main_verdict(fresh, k) == 1
-    else:
-        assert main_verdict(fresh, k) == 0
+    # term proves the slack positive wherever it can be, with no pass and
+    # with neither side reduced
+    assume(len(v) >= 3 and min(v) < max(v))
+    k = data.draw(st.integers(min_value=2, max_value=len(v) - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        forbid(patch, products_by_sum, check_main)
+        assert main_verdict(make_vector(list(v)), k) == 1
+
+
+@settings(deadline=None)  # at k in {1, n} and on uniform vectors the sides are reduced
+@given(st.one_of(vectors, wide_vectors, huge_vectors, uniform_vectors), st.data())
+def test_verdict_is_0_on_a_uniform_point_and_at_k_1_or_n(v, data):
+    # the slack vanishes there, so no bound can clear it and the verdict is
+    # read off the exact sides
+    uniform = min(v) == max(v)
+    k = data.draw(st.integers(min_value=1, max_value=len(v)) if uniform
+                  else st.sampled_from([1, len(v)]))
+    assert main_verdict(make_vector(list(v)), k) == 0
+
+
+def test_verdict_needs_no_pass_on_long_vectors():
+    # 16 six-digit p/q at k = 8 and 60 integers in 1..100 at k = 30: one
+    # subset's term is O(k), where a subset-sum pass over them is not
+    fractions = make_vector([Fraction(100003 + 7919 * i, 999983 - 6841 * i) for i in range(16)])
+    integers = make_vector([(37 * i) % 100 + 1 for i in range(60)])
+    with pytest.MonkeyPatch.context() as patch:
+        forbid(patch, products_by_sum, check_main)
+        assert main_verdict(fractions, 8) == 1
+        assert main_verdict(integers, 30) == 1
 
 
 def test_verdict_falls_back_on_the_exact_sides_if_no_bound_clears(monkeypatch):
