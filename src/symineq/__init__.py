@@ -14,7 +14,6 @@ from symineq.exact import (
     parse_scalar,
     render_scalar,
 )
-from symineq.symfun import elementary_symmetric
 from symineq.inequality import (
     InequalityReport,
     Statement,
@@ -44,7 +43,6 @@ __all__ = [
     "make_vector",
     "parse_scalar",
     "render_scalar",
-    "elementary_symmetric",
     "InequalityReport",
     "Statement",
     "Violation",

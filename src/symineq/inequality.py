@@ -14,7 +14,7 @@ What each public function decides:
 - `main_slack_floor`: an exact lower bound on that slack, row k's sum with
   each quotient floored.
 - `main_slack_exceeds`: whether that slack is proved above a given value,
-  by the term and then the floor.
+  by the term and then, after a positive term, the floor.
 - `main_verdict`: the sign of that slack: 1 once it is proved above 0,
   else read off `check_main`.
 - `check_reciprocal_lemma`, `check_pairwise_lemma`: the supporting bounds.
@@ -307,15 +307,18 @@ def main_slack_term(v: PositiveVector, k: int) -> tuple[int, int]:
 
 def main_slack_exceeds(v: PositiveVector, k: int, bound: Fraction) -> bool:
     """Whether the main slack rhs_main(v, k) - lhs_main(v, k) is proved
-    strictly above bound, with neither side reduced. Two exact lower bounds
-    are compared with bound in integers, in turn: the term of one subset
-    (`main_slack_term`), which needs no pass, and then the floored row sum
-    (`main_slack_floor`), which reads row k. False means not proved, not
-    that the slack is at most bound.
+    strictly above bound, with neither side reduced, by exact lower bounds
+    compared with bound in integers: one subset's term (`main_slack_term`),
+    with no pass, then, only after a positive term that falls short, the
+    floored row sum (`main_slack_floor`), which reads row k. A zero term
+    means k in {1, n} or a uniform vector, where the slack is 0 and the
+    floor lies below it. False means not proved, not that slack <= bound.
     """
     p, q = bound.numerator, bound.denominator
-    return any(num * q > p * den for num, den in
-               (lower(v, k) for lower in (main_slack_term, main_slack_floor)))
+    num, den = main_slack_term(v, k)
+    if num and num * q <= p * den:
+        num, den = main_slack_floor(v, k)
+    return num * q > p * den
 
 
 def main_verdict(v: PositiveVector, k: int) -> int:

@@ -3,8 +3,8 @@ by subset sum, and subset terms over shared prefixes.
 
 - `symmetric_row`: the row e_0..e_k of any number type, the one e_k kernel
   of both the float objective and the exact checks.
-- `elementary_symmetric`: e_k alone. Nothing in `src/` calls it; it stays
-  only as a span target of the benchmark's tracer, until that span moves.
+- `elementary_symmetric`: e_k alone, neither exported nor called in `src/`;
+  it stays only as a span target of the benchmark's tracer.
 - `products_by_sum`: the exact subset products totalled by subset sum, for
   the main bound's left side.
 - `subset_terms`, `moved_terms`: the float objective's terms prod(S)/sum(S)
@@ -32,10 +32,9 @@ def check_k(k: int, n: int) -> None:
         raise InputError(f"k must satisfy 0 < k <= n, got k={k} n={n}")
 
 
-# Bounded. Only the float objective reaches it, one (n, k) per search; 32
-# plans cover every 1 < k < n of n = 3..9 (28). At n = 20 the plans of all k
-# hold 59 MiB, k = 10 9.8 MiB; the gradient's tables add 57 MiB there.
-@lru_cache(maxsize=32)
+# One entry: a search uses one (n, k). At n = 20 the plans of all k hold
+# 59 MiB, k = 10 9.8 MiB; the gradient's tables add 57 MiB there.
+@lru_cache(maxsize=1)
 def _prefix_plan(n: int, k: int) -> tuple:
     """The index plan of `subset_terms` for n entries and subset size k.
 
@@ -55,7 +54,7 @@ def _prefix_plan(n: int, k: int) -> tuple:
     return tuple(levels)
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _coordinate_plan(n: int, k: int) -> tuple:
     """Per coordinate i and plan level, the (position, parent, index)
     triples of the subsets that hold i, in plan order: each subset's place in
@@ -64,8 +63,8 @@ def _coordinate_plan(n: int, k: int) -> tuple:
     A level's triples are built once and shared by every coordinate that
     holds them, so a level of L subsets of j entries costs L triples and
     j * L references, and `moved_terms` reads each subset's parent and
-    index with no plan lookup. The tables take 0.37 MiB at (13, 6), 3.4 MiB
-    at (16, 8), 14 MiB at (18, 9) and 57 MiB at (20, 10).
+    index with no plan lookup. Only the search's (n, k) is kept: the tables
+    take 0.37 MiB at (13, 6), 3.4 MiB at (16, 8) and 57 MiB at (20, 10).
     """
     plan, held = _prefix_plan(n, k), []
     shared = [tuple(zip(range(len(parents)), parents, indices))

@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,6 +24,7 @@ from symineq.inequality import (
     check_proof_identity,
     check_reciprocal_lemma,
     lhs_main,
+    main_slack_exceeds,
     main_slack_floor,
     main_slack_term,
     main_verdict,
@@ -32,6 +34,8 @@ from symineq.inequality import (
 )
 from symineq.search import Distribution, FuzzReport, fuzz
 from symineq.symfun import elementary_symmetric, products_by_sum, symmetric_row
+
+GOLDEN = Path(__file__).parent / "golden"
 
 entry = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
 vectors = st.lists(entry, min_size=1, max_size=7).map(make_vector)
@@ -247,7 +251,8 @@ def counting_lhs_main(monkeypatch):
 
 def counting_term_clears(monkeypatch):
     # how many checks the certificate term clears with no floor: each check
-    # after the first asks the term, and the floor only when the term fails
+    # after the first asks the term, and the floor only after a positive
+    # term falls short; the runs below draw no zero term
     asked = []
 
     def term(v, k):
@@ -701,6 +706,63 @@ def test_verdict_falls_back_on_the_exact_sides_if_no_bound_clears(monkeypatch):
     with pytest.raises(Violation) as raised:
         main_verdict(make_vector([1, 2, 3]), 2)
     assert (raised.value.lhs, raised.value.rhs) == (10, rhs_main(make_vector([1, 2, 3]), 2))
+
+
+def counting_floor(patch):
+    # the (n, k) of every main_slack_floor call
+    called = []
+
+    def floor(v, k):
+        called.append((len(v), k))
+        return main_slack_floor(v, k)
+    patch.setattr("symineq.inequality.main_slack_floor", floor)
+    return called
+
+
+bounds = st.one_of(st.just(Fraction(0)), st.fractions())
+
+
+@settings(deadline=None)  # huge entries make long integer forms
+@given(st.one_of(vectors, wide_vectors, huge_vectors, uniform_vectors), bounds, st.data())
+def test_a_zero_term_decides_with_no_floor(v, bound, data):
+    # the term is 0 exactly at k in {1, n} and on uniform vectors, where the
+    # slack is 0 and the floor strictly below it, so no floor is read
+    uniform = min(v) == max(v)
+    k = data.draw(st.integers(min_value=1, max_value=len(v)) if uniform
+                  else st.sampled_from([1, len(v)]))
+    with pytest.MonkeyPatch.context() as patch:
+        forbid(patch, main_slack_floor)
+        assert main_slack_exceeds(v, k, bound) == (bound < 0)
+        assert main_verdict(v, k) == 0
+
+
+@settings(deadline=None)  # the oracles enumerate up to 255 subsets of wide entries
+@given(st.one_of(vectors, wide_vectors, huge_vectors), st.data())
+def test_a_positive_term_that_falls_short_reads_the_floor(v, data):
+    # off a zero term the ladder is the term, else the floor; bounds drawn
+    # between the term and the slack leave the floor to decide
+    assume(len(v) >= 3 and min(v) < max(v))
+    k = data.draw(st.integers(min_value=2, max_value=len(v) - 1))
+    term = Fraction(*main_slack_term(v, k))
+    slack = rhs_oracle(v, k) - lhs_oracle(v, k)
+    between = st.fractions(min_value=0, max_value=1).map(lambda t: term + t * (slack - term))
+    bound = data.draw(st.one_of(between, bounds, st.sampled_from([term, slack])))
+    with pytest.MonkeyPatch.context() as patch:
+        called = counting_floor(patch)
+        proved = main_slack_exceeds(v, k, bound)
+    assert proved == (term > bound or Fraction(*main_slack_floor(v, k)) > bound)
+    assert called == ([] if term > bound else [(len(v), k)])
+    assert not proved or bound < slack
+
+
+def test_readme_fuzz_reads_no_floor_at_the_boundary(monkeypatch, capsys):
+    # under the CLI's default k policy every boundary slack is 0; their
+    # checks are reduced, for the tie-break, but read no floor first
+    called = counting_floor(monkeypatch)
+    assert main(["fuzz", "--n", "2..8", "--trials", "1000", "--seed", "42"]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / "fuzz_n2_8_trials1000_seed42.txt").read_bytes()
+    assert all(1 < k < n for n, k in called)
 
 
 # ---- reciprocal bound ----

@@ -333,6 +333,17 @@ def test_ratio_float_builds_no_coordinate_tables():
     assert _coordinate_plan.cache_info().currsize == 1
 
 
+def test_the_plans_keep_only_the_last_searchs_n_and_k():
+    # a search uses one (n, k), so an earlier one's plans are let go
+    maximize_ratio(7, 3, seed=0, max_iterations=2)
+    maximize_ratio(6, 2, seed=0, max_iterations=2)
+    for cached in (_prefix_plan, _coordinate_plan):
+        assert cached.cache_info().currsize == 1
+        hits = cached.cache_info().hits
+        cached(6, 2)
+        assert cached.cache_info().hits == hits + 1
+
+
 def test_coordinate_tables_list_exactly_the_subsets_that_hold_i():
     # a listed position that does not hold i recomputes an unchanged float,
     # which the bit-for-bit tests cannot see
